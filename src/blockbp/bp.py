@@ -26,6 +26,7 @@ from .model import (
     Moments,
     Params,
     m_step,
+    pair_mass,
 )
 
 PRUNE_SCALE = 0.1  # prune cluster k when E[zbar_k] < PRUNE_SCALE / n
@@ -66,7 +67,7 @@ class PenaltyTerms:
 
     lam: np.ndarray
     t_excl: np.ndarray
-    T_excl: np.ndarray
+    T_excl: np.ndarray | None
 
 
 def external_field(params, zbar, n):
@@ -123,7 +124,7 @@ class BeliefState:
         out_counts = np.bincount(src, minlength=self.n)
         self.out_ptr = np.concatenate([[0], np.cumsum(out_counts)]).astype(np.int64)
         self.isolated = np.flatnonzero(graph.degrees == 0)
-        self.self_loop_nodes = graph.edges[graph.edges[:, 0] == graph.edges[:, 1], 0]
+        self.self_loops = graph.edges[graph.edges[:, 0] == graph.edges[:, 1]]
 
         self.messages = rng.uniform(0.1, 1.0, size=(2 * m, k))
         self.messages /= self.messages.sum(axis=1, keepdims=True)
@@ -172,8 +173,7 @@ class BeliefState:
             )
             tot = np.clip(t.sum(axis=(1, 2), keepdims=True), 1e-300, None)
             out[nonself] = t / tot
-        for row in np.flatnonzero(~nonself):
-            out[row] = np.diag(self.node_belief[edges[row, 0]])
+        out[~nonself] = self.node_belief[edges[~nonself, 0], :, None] * np.eye(k)
         return out
 
     def refresh_moments(self, params):
@@ -193,22 +193,13 @@ class BeliefState:
             t /= tot
             ts = t.sum(axis=0)
             zz = (ts + ts.T) / n**2
-        for i in self.self_loop_nodes:
-            zz[np.diag_indices(k)] += 2.0 * self.node_belief[i] / n**2
-        self.zzbar_cache = zz
+        self.zzbar_cache = zz + pair_mass(self.self_loops, self.node_belief, n)
         return drift
 
     def moments(self):
         """Fresh mask-aware Moments from the current beliefs and caches."""
-        n, k = self.n, self.k_active
-        masked_mass = np.zeros((k, k))
-        for (i, j) in self.graph.masked:
-            if i == j:
-                masked_mass[np.diag_indices(k)] += 2.0 * self.node_belief[i]
-            else:
-                u = np.outer(self.node_belief[i], self.node_belief[j])
-                masked_mass += u + u.T
-        masked_mass /= n**2
+        n = self.n
+        masked_mass = pair_mass(self.graph.masked_index, self.node_belief, n)
         return Moments(self.h / n, self.zzbar_cache.copy(), n, masked_mass=masked_mass)
 
     def map_assignment(self):
@@ -251,28 +242,18 @@ class BeliefState:
 # -- penalties ----------------------------------------------------------------
 
 
-def compute_penalty(state, params, node):
+def compute_penalty(state, node, mode="fab"):
     """Smoothed marginal-likelihood penalty for one node's messages.
 
     t and T are the cluster and bicluster pseudo-counts excluding the node
     itself, formed from the live expected proportions (which the closed-form
     estimators equal at every update of the alternation); both are clamped
     below at 1 so the penalty stays finite and nonnegative in degenerate
-    states.
+    states.  Mode "fic" keeps only the cluster-size term, scaled by
+    K(K+1)/2, and leaves T_excl unset.
     """
-    n = state.n
-    b = state.node_belief[node]
-    t = np.clip(state.h - b + 1.0, 1.0, None)
-    nbr = state.neighbor_belief_sum(node)
-    big_t = np.clip(n * n * state.zzbar_cache - np.outer(b, nbr) + 1.0, 1.0, None)
-    lam = 0.5 * np.log1p(1.0 / t) + 0.5 * np.log1p(nbr[None, :] / big_t).sum(axis=1)
-    return PenaltyTerms(lam, t, big_t)
-
-
-def _penalty_vector(state, pi, node, mode):
     # cluster and bicluster masses enter through the live caches (h = n *
-    # E[zbar], n^2 * E[zzbar]); the estimators they stand for equal the
-    # current expectations, and tracking them within a sweep lets a shrinking
+    # E[zbar], n^2 * E[zzbar]); tracking them within a sweep lets a shrinking
     # cluster's penalty grow immediately instead of waiting for the next
     # closed-form update
     n = state.n
@@ -281,10 +262,11 @@ def _penalty_vector(state, pi, node, mode):
     r1_term = 0.5 * np.log1p(1.0 / t)
     if mode == "fic":
         k = state.k_active
-        return (k * (k + 1) / 2.0) * r1_term
+        return PenaltyTerms((k * (k + 1) / 2.0) * r1_term, t, None)
     nbr = state.neighbor_belief_sum(node)
     big_t = np.clip(n * n * state.zzbar_cache - np.outer(b, nbr) + 1.0, 1.0, None)
-    return r1_term + 0.5 * np.log1p(nbr[None, :] / big_t).sum(axis=1)
+    lam = r1_term + 0.5 * np.log1p(nbr[None, :] / big_t).sum(axis=1)
+    return PenaltyTerms(lam, t, big_t)
 
 
 # -- message updates ------------------------------------------------------------
@@ -324,7 +306,7 @@ def update_message_fab(state, params, i, j, field=None, lam=None):
     if field is None:
         field = external_field(params, state.zbar_cache, state.n) if state_field_on(state) else 0.0
     if lam is None:
-        lam = _penalty_vector(state, params.pi, i, "fab")
+        lam = compute_penalty(state, i).lam
     _, logits = _update_logits(state, log_gamma, params.pi, field, e, lam)
     out = _softmax(logits)
     if out is None:
@@ -386,7 +368,7 @@ def fabbp_run(graph, params, state, opts, rng=None):
                 log_gamma = np.log(np.clip(state.h / n, EPS_P, None))
             base = log_gamma + field + in_sum
             if penalty_mode:
-                base = base - _penalty_vector(state, pi, i, penalty_mode)
+                base = base - compute_penalty(state, i, penalty_mode).lam
             new_belief = _softmax(base)
             if new_belief is None:
                 raise MessageUnderflowError(i, i)
@@ -503,25 +485,13 @@ def _soft_init_params(graph, labels, k, confidence=0.45):
     n = graph.n
     b = np.full((n, k), (1.0 - confidence) / k)
     b[np.arange(n), labels] += confidence
-    zz = np.zeros((k, k))
-    edges = graph.edges
-    nonself = edges[:, 0] != edges[:, 1]
-    if np.any(nonself):
-        bi = b[edges[nonself, 0]]
-        bj = b[edges[nonself, 1]]
-        u = bi.T @ bj
-        zz += (u + u.T) / n**2
-    for i in edges[~nonself, 0]:
-        zz[np.diag_indices(k)] += 2.0 * b[i] / n**2
-    masked_mass = np.zeros((k, k))
-    for (i, j) in graph.masked:
-        if i == j:
-            masked_mass[np.diag_indices(k)] += 2.0 * b[i]
-        else:
-            u = np.outer(b[i], b[j])
-            masked_mass += u + u.T
-    masked_mass /= n**2
-    params, _ = m_step(Moments(b.mean(axis=0), zz, n, masked_mass=masked_mass))
+    moments = Moments(
+        b.mean(axis=0),
+        pair_mass(graph.edges, b, n),
+        n,
+        masked_mass=pair_mass(graph.masked_index, b, n),
+    )
+    params, _ = m_step(moments)
     return params
 
 

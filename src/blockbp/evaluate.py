@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -37,15 +36,12 @@ def npll(fit, masked_observations):
         raise ValueError("fit carries no node marginals")
     pi = fit.params.pi
     n = fit.n
-    total = 0.0
-    for (i, j), x in masked_observations.items():
-        if i == j:
-            p = float(np.dot(b[i], np.diagonal(pi)))
-        else:
-            p = float(b[i] @ pi @ b[j])
-        p = min(max(p, EPS_P), 1.0 - EPS_P)
-        total += math.log(p) if x else math.log1p(-p)
-    return total / (n * (n + 1) / 2.0)
+    i, j = np.array(list(masked_observations), dtype=np.int64).reshape(-1, 2).T
+    x = np.fromiter(masked_observations.values(), dtype=bool, count=len(masked_observations))
+    p = np.where(i == j, b[i] @ np.diagonal(pi), ((b[i] @ pi) * b[j]).sum(axis=1))
+    p = np.clip(p, EPS_P, 1.0 - EPS_P)
+    total = np.where(x, np.log(p), np.log1p(-p)).sum()
+    return float(total / (n * (n + 1) / 2.0))
 
 
 def adjusted_rand_index(a, b):

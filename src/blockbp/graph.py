@@ -52,9 +52,18 @@ class Graph:
         Masked pairs must not appear in `edges`.
     node_ids : list of str, optional
         Original node identifiers in index order (from edge-list parsing).
+
+    Attributes
+    ----------
+    masked_index : (P, 2) int64 array
+        The keys of `masked` as sorted, read-only rows (i, j) with i <= j,
+        built once at construction.  Every held-out statistic reads the
+        pairs from here through `model.pair_mass`.
     """
 
-    __slots__ = ("n", "edges", "masked", "node_ids", "_adj", "_edge_set", "_degrees")
+    __slots__ = (
+        "n", "edges", "masked", "masked_index", "node_ids", "_adj", "_edge_set", "_degrees"
+    )
 
     def __init__(self, n, edges, masked=None, node_ids=None):
         n = int(n)
@@ -78,6 +87,8 @@ class Graph:
         self.edges = edges
         self.edges.setflags(write=False)
         self.masked = masked
+        self.masked_index = _canonical_pairs(list(masked))
+        self.masked_index.setflags(write=False)
         self.node_ids = list(node_ids) if node_ids is not None else None
         self._adj = None
         self._edge_set = None
@@ -100,11 +111,6 @@ class Graph:
         if self.m == 0:
             return 0
         return int(np.count_nonzero(self.edges[:, 0] == self.edges[:, 1]))
-
-    @property
-    def masked_pairs(self):
-        """Held-out pairs as a set; observed bits live in `masked`."""
-        return set(self.masked)
 
     @property
     def edge_set(self):
@@ -221,10 +227,11 @@ def parse_labels(text):
         entries[int(tokens[0])] = int(tokens[1])
     if not entries:
         raise EdgeListParseError("no labels")
-    labels = np.zeros(max(entries) + 1, dtype=np.int64)
-    for i, c in entries.items():
-        labels[i] = c
-    return labels
+    # ids must be exactly 0..len-1, so any gap shows below len(entries)
+    missing = [i for i in range(len(entries)) if i not in entries]
+    if missing:
+        raise EdgeListParseError(f"no label for node {missing[0]}")
+    return np.array([entries[i] for i in range(len(entries))], dtype=np.int64)
 
 
 def serialize_masked(masked):

@@ -127,6 +127,23 @@ def label_counts(labels, k):
     return np.bincount(labels, minlength=k).astype(np.float64)
 
 
+def pair_mass(pairs, beliefs, n):
+    """Belief mass of unordered node pairs in the zzbar convention.
+
+    Pair (i, j) with i != j adds b_i b_j^T + b_j b_i^T and a self-pair (i, i)
+    adds 2 diag(b_i); the (K, K) total is divided by n^2.  `pairs` is a
+    (P, 2) int array.  With one-hot beliefs and n = 1 the result counts
+    pairs per bicluster: off-diagonal entries once, diagonal entries twice.
+    """
+    b = np.asarray(beliefs, dtype=np.float64)
+    self_pair = pairs[:, 0] == pairs[:, 1]
+    off = pairs[~self_pair]
+    u = b[off[:, 0]].T @ b[off[:, 1]]
+    mass = u + u.T
+    mass[np.diag_indices_from(mass)] += 2.0 * b[pairs[self_pair, 0]].sum(axis=0)
+    return mass / n**2
+
+
 def bicluster_counts(graph, labels, k):
     """Edge counts and mask-adjusted pair counts per unordered bicluster.
 
@@ -134,43 +151,27 @@ def bicluster_counts(graph, labels, k):
     with label set {k, l} once; c[k, l] counts available pairs (the full
     universe minus masked pairs).  Self-pairs belong to the diagonal.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    counts = label_counts(labels, k)
-    e = np.zeros((k, k))
-    if graph.m:
-        la = np.minimum(labels[graph.edges[:, 0]], labels[graph.edges[:, 1]])
-        lb = np.maximum(labels[graph.edges[:, 0]], labels[graph.edges[:, 1]])
-        np.add.at(e, (la, lb), 1.0)
+    onehot = np.eye(k)[np.asarray(labels, dtype=np.int64)]
+    counts = onehot.sum(axis=0)
+    # pair_mass counts pairs within one cluster twice, on the diagonal
+    half_diag = np.ones((k, k)) - 0.5 * np.eye(k)
+    e = half_diag * pair_mass(graph.edges, onehot, 1)
     c = np.outer(counts, counts)
     np.fill_diagonal(c, counts * (counts + 1) / 2.0)
-    c = np.triu(c)
-    for (i, j) in graph.masked:
-        a, b = labels[i], labels[j]
-        a, b = min(a, b), max(a, b)
-        c[a, b] -= 1.0
-    e = e + np.triu(e, 1).T
-    c = c + np.triu(c, 1).T
+    c -= half_diag * pair_mass(graph.masked_index, onehot, 1)
     return e, c
 
 
 def hard_moments(graph, labels, k):
     """Sufficient statistics of a hard assignment on the training graph."""
     n = graph.n
-    counts = label_counts(labels, k)
-    e, _ = bicluster_counts(graph, labels, k)
-    zz = e / n**2
-    zz[np.diag_indices(k)] *= 2.0
-    masked_mass = np.zeros((k, k))
-    lab = np.asarray(labels, dtype=np.int64)
-    for (i, j) in graph.masked:
-        a, b = lab[i], lab[j]
-        if a == b:
-            masked_mass[a, a] += 2.0
-        else:
-            masked_mass[a, b] += 1.0
-            masked_mass[b, a] += 1.0
-    masked_mass /= n**2
-    return Moments(counts / n, zz, n, masked_mass=masked_mass)
+    onehot = np.eye(k)[np.asarray(labels, dtype=np.int64)]
+    return Moments(
+        onehot.sum(axis=0) / n,
+        pair_mass(graph.edges, onehot, n),
+        n,
+        masked_mass=pair_mass(graph.masked_index, onehot, n),
+    )
 
 
 # -- likelihoods -------------------------------------------------------------
@@ -220,33 +221,19 @@ def pairwise_weight_matrices(graph, node_beliefs, edge_beliefs=None):
     bicluster conventions matching `bicluster_counts`.
     """
     b = np.asarray(node_beliefs, dtype=np.float64)
-    n, k = b.shape
     s = b.sum(axis=0)
     # all unordered pairs: off-diagonal node pairs i < j plus self-pairs
     w_all = 0.5 * (np.outer(s, s) - b.T @ b)
     w_all += np.diag(s)
-
-    w_edge = np.zeros((k, k))
-    if graph.m:
-        ii, jj = graph.edges[:, 0], graph.edges[:, 1]
-        nonself = ii != jj
-        if edge_beliefs is not None:
-            pb = np.asarray(edge_beliefs, dtype=np.float64).sum(axis=0)
-        else:
-            pb = b[ii[nonself]].T @ b[jj[nonself]]
-            pb += np.diag(b[ii[~nonself]].sum(axis=0)) if np.any(~nonself) else 0.0
+    # product-form weight of the edge pairs, which leave the non-edge total
+    edge_mass = 0.5 * pair_mass(graph.edges, b, 1)
+    if edge_beliefs is None:
+        w_edge = edge_mass
+    else:
+        pb = np.asarray(edge_beliefs, dtype=np.float64).sum(axis=0)
         w_edge = 0.5 * (pb + pb.T)
-        # remove the edge pairs' product-form weight from the non-edge total
-        u = b[ii[nonself]].T @ b[jj[nonself]]
-        w_all -= 0.5 * (u + u.T)
-        if np.any(~nonself):
-            w_all -= np.diag(b[ii[~nonself]].sum(axis=0))
-    for (i, j) in graph.masked:
-        if i == j:
-            w_all -= np.diag(b[i])
-        else:
-            w_all -= 0.5 * (np.outer(b[i], b[j]) + np.outer(b[j], b[i]))
-    return w_edge, w_all
+    w_non = w_all - edge_mass - 0.5 * pair_mass(graph.masked_index, b, 1)
+    return w_edge, w_non
 
 
 def expected_joint_log_likelihood(graph, node_beliefs, params, edge_beliefs=None):

@@ -25,6 +25,32 @@ def all_pairs(n):
             yield i, j
 
 
+def masked_selfloop_graph():
+    """n=7 graph with self-loops whose mask holds a self-pair that was a
+    self-loop, a self-pair that was not, a former edge and two non-edges."""
+    from blockbp import Graph
+
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6), (1, 5), (2, 2), (4, 4)]
+    masked = {(5, 5): 1, (3, 3): 0, (0, 3): 1, (1, 4): 0, (2, 6): 0}
+    return Graph(7, edges, masked=masked)
+
+
+def bicluster_counts_bruteforce(graph, labels, k):
+    """Training-edge, available-pair and masked-pair counts per bicluster,
+    walking every unordered pair; symmetric (K, K) arrays."""
+    e, c, held = np.zeros((k, k)), np.zeros((k, k)), np.zeros((k, k))
+    edge_set = graph.edge_set
+    for i, j in all_pairs(graph.n):
+        a, b = sorted((labels[i], labels[j]))
+        if (i, j) in graph.masked:
+            held[a, b] += 1
+            continue
+        c[a, b] += 1
+        if (i, j) in edge_set:
+            e[a, b] += 1
+    return tuple(x + np.triu(x, 1).T for x in (e, c, held))
+
+
 def joint_ll_bruteforce(graph, labels, params):
     """Pair-by-pair evaluation of the hard-assignment log-likelihood."""
     total = 0.0

@@ -266,7 +266,7 @@ def test_criterion_6_penalty_positive_and_prunes():
         state = BeliefState(g, k, np.random.default_rng(int(rng.integers(10_000))))
         params = Params(np.full(k, 1 / k), np.full((k, k), 0.3))
         state.refresh_moments(params)
-        terms = compute_penalty(state, params, int(rng.integers(n)))
+        terms = compute_penalty(state, int(rng.integers(n)))
         min_lambda = min(min_lambda, float(terms.lam.min()))
     positive = min_lambda > 0
 

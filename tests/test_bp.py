@@ -20,7 +20,6 @@ from blockbp import (
 )
 from blockbp.bp import (
     MessageUnderflowError,
-    _penalty_vector,
     fit_result_from_json,
     fit_result_to_json,
 )
@@ -121,7 +120,7 @@ class TestComputePenalty:
         state.h = state.node_belief.sum(axis=0)
         params = Params(np.array([1.0]), np.array([[0.2]]))
         state.refresh_moments(params)
-        terms = compute_penalty(state, params, 3)
+        terms = compute_penalty(state, 3)
         d = 2  # degree of node 3
         t = 10.0  # h - b + 1
         big_t = 2 * 9 - d + 1  # n^2 * zzbar - own contribution + 1
@@ -141,7 +140,7 @@ class TestComputePenalty:
             state = fresh_state(g, k, seed=int(rng.integers(999)))
             params = Params(np.full(k, 1 / k), np.full((k, k), 0.3))
             state.refresh_moments(params)
-            terms = compute_penalty(state, params, int(rng.integers(n)))
+            terms = compute_penalty(state, int(rng.integers(n)))
             assert np.all(terms.lam > 0)
             assert np.all(terms.t_excl >= 1)
             assert np.all(terms.T_excl >= 1)
@@ -173,7 +172,7 @@ class TestComputePenalty:
         params = Params(np.full(4, 0.25), np.full((4, 4), 4.0 / n))
         state.refresh_moments(params)
         node = 17
-        terms = compute_penalty(state, params, node)
+        terms = compute_penalty(state, node)
         nbr = state.neighbor_belief_sum(node)
         simple = 0.5 * np.log1p(1.0 / state.h) + 0.5 * np.log1p(
             nbr[None, :] / np.clip(n * n * state.zzbar_cache, 1.0, None)
@@ -191,7 +190,7 @@ class TestComputePenalty:
         b = state.node_belief[node]
         t = np.clip(state.h - b + 1.0, 1.0, None)
         expected = (k * (k + 1) / 2) * 0.5 * np.log1p(1.0 / t)
-        lam = _penalty_vector(state, params.pi, node, "fic")
+        lam = compute_penalty(state, node, "fic").lam
         assert lam == pytest.approx(expected, rel=1e-12)
 
 

@@ -129,3 +129,23 @@ class TestUsageErrors:
 
     def test_missing_required(self):
         assert run(["fit"]) == 2
+
+
+class TestAtomicWrite:
+    GENERATE = ["generate", "--n", "20", "--k", "2", "--pin", "0.3", "--pout", "0.05",
+                "--seed", "1", "--output"]
+
+    def test_stale_tmp_directory_does_not_block_output(self, tmp_path):
+        out = tmp_path / "g.txt"
+        (tmp_path / "g.txt.tmp").mkdir()
+        assert run(self.GENERATE + [str(out)]) == 0
+        assert out.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "g.txt.labels", "g.txt.tmp"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        assert run(self.GENERATE + [str(tmp_path / "taken")]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]

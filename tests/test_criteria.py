@@ -27,7 +27,7 @@ from blockbp import (
 )
 from blockbp.criteria import LOG_2PI, LOG_HALF
 from blockbp.model import Moments, hard_moments
-from oracles import Enumeration, dec_ell_tilde, dec_r1_tilde, dec_r2_tilde
+from oracles import Enumeration, dec_ell_tilde, dec_r1_tilde, dec_r2_tilde, masked_selfloop_graph
 
 
 class StateShim:
@@ -90,6 +90,37 @@ def point_mass_state(graph, labels, k):
 def random_tree(n, rng):
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     return Graph(n, edges)
+
+
+class TestMomentsAgainstLoopReference:
+    """Moments built through model.pair_mass against StateShim's pair loops,
+    on a graph with self-loops whose mask holds self-pairs and both bits."""
+
+    def test_belief_state_moments(self):
+        g = masked_selfloop_graph()
+        params = Params(np.full(3, 1 / 3), np.array([[0.6, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.7]]))
+        state = BeliefState(g, 3, np.random.default_rng(4))
+        state.refresh_moments(params)
+        eb = state.edge_beliefs(params)
+        pairs = {(int(i), int(j)): eb[row] for row, (i, j) in enumerate(g.edges) if i != j}
+        shim = StateShim(g, state.node_belief, pairs)
+        assert eb == pytest.approx(shim.edge_beliefs(params), rel=1e-12, abs=1e-15)
+        got, ref = state.moments(), shim.moments()
+        assert got.zbar == pytest.approx(ref.zbar, rel=1e-12)
+        assert got.zzbar == pytest.approx(ref.zzbar, rel=1e-12, abs=1e-15)
+        assert got.masked_mass == pytest.approx(ref.masked_mass, rel=1e-12, abs=1e-15)
+
+    def test_soft_init_params(self):
+        from blockbp.bp import _soft_init_params
+
+        g = masked_selfloop_graph()
+        labels = np.array([0, 1, 2, 0, 1, 2, 0])
+        beliefs = np.full((g.n, 3), 0.55 / 3)
+        beliefs[np.arange(g.n), labels] += 0.45
+        ref, _ = m_step(StateShim(g, beliefs).moments())
+        got = _soft_init_params(g, labels, 3)
+        assert got.gamma == pytest.approx(ref.gamma, rel=1e-12)
+        assert got.pi == pytest.approx(ref.pi, rel=1e-12)
 
 
 class TestPenaltyTerms:

@@ -12,6 +12,7 @@ from blockbp.evaluate import (
     run_synthetic_protocol,
     sweep_criteria,
 )
+from oracles import masked_selfloop_graph
 
 
 def make_fit(n, marginals, params, selected_k=None):
@@ -57,6 +58,19 @@ class TestNpll:
         fit = make_fit(n, marginals, params)
         value = npll(fit, {(1, 1): 1})
         assert value == pytest.approx(math.log(0.8) / 6, abs=1e-12)
+
+    def test_matches_pair_loop(self):
+        g = masked_selfloop_graph()
+        rng = np.random.default_rng(5)
+        marginals = rng.dirichlet(np.ones(3), size=g.n)
+        pi = rng.uniform(0.05, 0.95, (3, 3))
+        pi = (pi + pi.T) / 2
+        fit = make_fit(g.n, marginals, Params(np.full(3, 1 / 3), pi))
+        total = 0.0
+        for (i, j), x in g.masked.items():
+            p = marginals[i] @ np.diag(pi) if i == j else marginals[i] @ pi @ marginals[j]
+            total += math.log(p) if x else math.log1p(-p)
+        assert npll(fit, g.masked) == pytest.approx(total / (g.n * (g.n + 1) / 2), rel=1e-12)
 
     def test_requires_masked_pairs(self):
         fit = make_fit(3, np.ones((3, 1)), Params(np.array([1.0]), np.array([[0.5]])))

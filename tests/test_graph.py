@@ -144,6 +144,8 @@ class TestMaskPairs:
         for (i, j), bit in masked.masked.items():
             assert not masked.has_edge(i, j)
             assert bit == (1 if g.has_edge(i, j) else 0)
+        assert masked.masked_index.tolist() == [list(p) for p in sorted(masked.masked)]
+        assert not masked.masked_index.flags.writeable
 
 
 class TestGraphInvariants:
@@ -165,6 +167,10 @@ class TestSerializationFormats:
     def test_labels_roundtrip(self):
         labels = np.array([0, 2, 1, 1])
         assert np.array_equal(parse_labels(serialize_labels(labels)), labels)
+
+    def test_labels_reject_gaps(self):
+        with pytest.raises(EdgeListParseError, match="no label for node 1"):
+            parse_labels("0 1\n2 0\n")
 
     def test_masked_roundtrip(self):
         masked = {(0, 3): 1, (2, 2): 0}

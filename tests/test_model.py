@@ -19,12 +19,19 @@ from blockbp import (
 )
 from blockbp.model import (
     EmptyClusterError,
+    bicluster_counts,
     expected_ll_from_moments,
     hard_moments,
     params_from_json,
     params_to_json,
 )
-from oracles import Enumeration, expected_ll_bruteforce, joint_ll_bruteforce
+from oracles import (
+    Enumeration,
+    bicluster_counts_bruteforce,
+    expected_ll_bruteforce,
+    joint_ll_bruteforce,
+    masked_selfloop_graph,
+)
 
 
 def small_graph():
@@ -119,13 +126,34 @@ class TestExpectedJointLogLikelihood:
 
     def test_bruteforce_with_masked_pairs(self):
         g, _ = generate_sbm(6, [0.5, 0.5], np.full((2, 2), 0.5), seed=2)
-        masked = mask_pairs(g, 0.1, seed=4)
         rng = np.random.default_rng(0)
-        beliefs = rng.dirichlet([1, 1], size=6)
         params = Params(np.array([0.5, 0.5]), np.array([[0.6, 0.2], [0.2, 0.7]]))
-        assert expected_joint_log_likelihood(masked, beliefs, params) == pytest.approx(
-            expected_ll_bruteforce(masked, beliefs, params), abs=1e-9
-        )
+        # the second graph's mask holds self-pairs, a former edge and non-edges
+        for masked in (mask_pairs(g, 0.1, seed=4), masked_selfloop_graph()):
+            beliefs = rng.dirichlet([1, 1], size=masked.n)
+            edge_beliefs = rng.dirichlet(np.ones(4), size=masked.m).reshape(-1, 2, 2)
+            self_rows = masked.edges[:, 0] == masked.edges[:, 1]
+            edge_beliefs[self_rows] = beliefs[masked.edges[self_rows, 0], :, None] * np.eye(2)
+            for eb in (None, edge_beliefs):
+                assert expected_joint_log_likelihood(masked, beliefs, params, eb) == pytest.approx(
+                    expected_ll_bruteforce(masked, beliefs, params, eb), abs=1e-9
+                )
+
+
+class TestHardCounts:
+    def test_match_pair_walk_bit_for_bit(self):
+        g = masked_selfloop_graph()
+        n, k = g.n, 3
+        double_diag = 1.0 + np.eye(k)
+        for labels in ([0, 1, 2, 0, 1, 2, 0], [2, 2, 0, 0, 2, 0, 2], [1] * 7):
+            labels = np.array(labels)
+            e, c, held = bicluster_counts_bruteforce(g, labels, k)
+            got_e, got_c = bicluster_counts(g, labels, k)
+            assert np.array_equal(got_e, e) and np.array_equal(got_c, c)
+            moments = hard_moments(g, labels, k)
+            assert np.array_equal(moments.zbar, np.bincount(labels, minlength=k) / n)
+            assert np.array_equal(moments.zzbar, double_diag * e / n**2)
+            assert np.array_equal(moments.masked_mass, double_diag * held / n**2)
 
 
 class TestMStep:
