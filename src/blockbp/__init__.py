@@ -39,8 +39,6 @@ from .bp import (
     fabbp_run,
     fic_bp_fit,
     fixed_k_fit,
-    update_message_fab,
-    update_message_standard,
 )
 from .criteria import (
     CriterionReport,
@@ -104,8 +102,6 @@ __all__ = [
     "run_synthetic_protocol",
     "serialize_edge_list",
     "spectral_init",
-    "update_message_fab",
-    "update_message_standard",
 ]
 
 __version__ = "0.1.0"

@@ -1,10 +1,14 @@
 """Belief propagation for sparse block models, plain and penalty-augmented.
 
-A sweep visits every node in fresh random order, updating its belief and all
-of its outgoing messages, maintaining incremental moment caches (restored
-exactly at every sweep boundary), and optionally pruning clusters whose
-expected proportion falls below 0.1/n.  Unconnected-node factors are folded
-into a shared external field, keeping a sweep at O(m K^2).
+Each BeliefState holds a greedy proper colouring of its graph.  A sweep
+visits the colour classes in an order the sweep RNG shuffles afresh each
+sweep.  Nodes of one class share no edge, so every message a class reads
+comes from other classes, and the whole class updates its beliefs and
+outgoing messages in a few array operations.  The incremental moment caches
+take one rank update per class (and are restored exactly at every sweep
+boundary); clusters whose expected proportion falls below 0.1/n are pruned
+after each class when enabled.  Unconnected-node factors are folded into a
+shared external field, keeping a sweep at O(m K^2).
 
 Penalty modes:
   "none"  plain sum-product messages,
@@ -75,12 +79,58 @@ def external_field(params, zbar, n):
     return -n * (params.pi @ np.asarray(zbar, dtype=np.float64))
 
 
-def _softmax(logits):
-    top = logits.max()
-    if not np.isfinite(top):
-        return None
-    w = np.exp(logits - top)
-    return w / w.sum()
+def _normalize_rows(w, edge_of):
+    """Scale nonnegative rows to sum 1, in place.
+
+    A row whose sum is not finite and positive raises MessageUnderflowError
+    naming the edge edge_of(row) returns.
+    """
+    total = w.sum(axis=1, keepdims=True)
+    ok = np.isfinite(total[:, 0]) & (total[:, 0] > 0.0)
+    if not ok.all():
+        raise MessageUnderflowError(*edge_of(int(np.argmin(ok))))
+    w /= total
+    return w
+
+
+def _greedy_colouring(n, src, dst):
+    """Proper colouring of the message graph: each node, largest degree first,
+    takes the smallest colour no coloured neighbour holds; O(n + m)."""
+    by_dst = np.argsort(dst, kind="stable")
+    neighbours = src[by_dst].tolist()
+    degree = np.bincount(dst, minlength=n)
+    ptr = np.concatenate([[0], np.cumsum(degree)]).tolist()
+    colour = [-1] * n
+    for v in np.argsort(-degree, kind="stable").tolist():
+        used = {colour[u] for u in neighbours[ptr[v] : ptr[v + 1]]}
+        c = 0
+        while c in used:
+            c += 1
+        colour[v] = c
+    return np.array(colour, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class InLists:
+    """The in-messages of a set of nodes, grouped by node.
+
+    ids[starts[r]:starts[r] + count] are the messages into nodes[r]; owner
+    maps each id to its row r; filled lists the rows with at least one
+    message, so empty segments never reach np.add.reduceat.
+    """
+
+    nodes: np.ndarray
+    ids: np.ndarray
+    owner: np.ndarray
+    starts: np.ndarray
+    filled: np.ndarray
+
+    def segment_sum(self, values):
+        """Per-node sums of values (one row per id); zero rows for nodes without messages."""
+        out = np.zeros((self.nodes.size, values.shape[1]))
+        if self.ids.size:
+            out[self.filled] = np.add.reduceat(values, self.starts[self.filled], axis=0)
+        return out
 
 
 class BeliefState:
@@ -89,6 +139,8 @@ class BeliefState:
     Owned by exactly one fit run; the underlying Graph is shared read-only.
     Messages exist for both orientations of every non-self-loop training
     edge; self-loops contribute to statistics but carry no message.
+    `classes` holds the InLists of the colour classes of a greedy proper
+    colouring (largest degree first), which draws nothing from the RNG.
     """
 
     def __init__(self, graph, k, rng):
@@ -99,34 +151,31 @@ class BeliefState:
         self.active_clusters = list(range(k))
 
         pairs = graph.edges[graph.edges[:, 0] != graph.edges[:, 1]]
-        self.edge_pairs = pairs
         m = pairs.shape[0]
         self.m_directed = 2 * m
-        src = np.empty(2 * m, dtype=np.int64)
-        dst = np.empty(2 * m, dtype=np.int64)
-        src[0::2], dst[0::2] = pairs[:, 0], pairs[:, 1]
-        src[1::2], dst[1::2] = pairs[:, 1], pairs[:, 0]
-        rev = np.arange(2 * m, dtype=np.int64)
-        rev[0::2] += 1
-        rev[1::2] -= 1
-        self.src, self.dst, self.rev = src, dst, rev
+        # edge row r = (i, j) carries messages i->j and j->i (2r and 2r + 1
+        # here); they are stored grouped by the colour class, then the node,
+        # they flow into, so each class reads its in-messages as one block,
+        # and forward/reverse give the stored rows of each edge row's pair
+        src = pairs.reshape(-1)
+        dst = pairs[:, ::-1].reshape(-1)
+        colour = _greedy_colouring(self.n, src, dst)
+        order = np.lexsort((dst, colour[dst]))
+        position = np.empty_like(order)
+        position[order] = np.arange(2 * m)
+        self.src, self.dst = src[order], dst[order]
+        self.rev = position[order ^ 1]
+        self.forward, self.reverse = position[0::2], position[1::2]
 
-        order = np.argsort(dst, kind="stable")
-        self.in_idx = order
-        counts = np.bincount(dst, minlength=self.n)
+        self.in_idx = np.argsort(self.dst, kind="stable")
+        counts = np.bincount(self.dst, minlength=self.n)
         self.in_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        pos_of = np.empty(2 * m, dtype=np.int64)
-        pos_of[order] = np.arange(2 * m) - self.in_ptr[dst[order]]
-        # position of the reverse message j->i inside the in-list of node i
-        self.rev_pos = pos_of[rev]
-        out_order = np.argsort(src, kind="stable")
-        self.out_idx = out_order
-        out_counts = np.bincount(src, minlength=self.n)
-        self.out_ptr = np.concatenate([[0], np.cumsum(out_counts)]).astype(np.int64)
-        self.isolated = np.flatnonzero(graph.degrees == 0)
         self.self_loops = graph.edges[graph.edges[:, 0] == graph.edges[:, 1]]
+        by_colour = np.argsort(colour, kind="stable")
+        bounds = np.cumsum(np.bincount(colour))[:-1]
+        self.classes = [self.in_lists(nodes) for nodes in np.split(by_colour, bounds)]
 
-        self.messages = rng.uniform(0.1, 1.0, size=(2 * m, k))
+        self.messages = rng.uniform(0.1, 1.0, size=(2 * m, k))[order]
         self.messages /= self.messages.sum(axis=1, keepdims=True)
         self.node_belief = rng.uniform(0.1, 1.0, size=(self.n, k))
         self.node_belief /= self.node_belief.sum(axis=1, keepdims=True)
@@ -134,30 +183,34 @@ class BeliefState:
         self.zzbar_cache = np.zeros((k, k))
         self.drift_log = []
 
+    def in_lists(self, nodes):
+        """InLists of the given node-index array."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        first = self.in_ptr[nodes]
+        counts = self.in_ptr[nodes + 1] - first
+        starts = np.cumsum(counts) - counts
+        owner = np.repeat(np.arange(nodes.size), counts)
+        pos = first[owner] + np.arange(owner.size) - starts[owner]
+        return InLists(nodes, self.in_idx[pos], owner, starts, np.flatnonzero(counts))
+
+    def start_from(self, beliefs, params):
+        """Set node beliefs and every message b[src] from one belief matrix."""
+        self.node_belief = np.array(beliefs, dtype=np.float64)
+        self.messages = self.node_belief[self.src]
+        self.h = self.node_belief.sum(axis=0)
+        self.refresh_moments(params)
+
     # -- views ---------------------------------------------------------------
 
     @property
     def zbar_cache(self):
         return self.h / self.n
 
-    def in_messages(self, node):
-        return self.in_idx[self.in_ptr[node] : self.in_ptr[node + 1]]
-
-    def out_messages(self, node):
-        return self.out_idx[self.out_ptr[node] : self.out_ptr[node + 1]]
-
     def neighbor_belief_sum(self, node):
-        ids = self.in_messages(node)
-        if ids.size == 0:
-            return np.zeros(self.k_active)
-        return self.node_belief[self.src[ids]].sum(axis=0)
-
-    def directed_id(self, i, j):
-        ids = self.in_messages(j)
-        hits = ids[self.src[ids] == i]
-        if hits.size == 0:
-            raise KeyError(f"no message {i}->{j}: nodes not adjacent")
-        return int(hits[0])
+        """Summed beliefs of a node's neighbours; one row per node for an array."""
+        lists = self.in_lists(np.atleast_1d(node))
+        out = lists.segment_sum(self.node_belief[self.src[lists.ids]])
+        return out if np.ndim(node) else out[0]
 
     def edge_beliefs(self, params):
         """Pairwise beliefs aligned with graph.edges rows (self rows diagonal)."""
@@ -167,9 +220,9 @@ class BeliefState:
         nonself = edges[:, 0] != edges[:, 1]
         if self.m_directed:
             t = (
-                self.messages[0::2, :, None]
+                self.messages[self.forward, :, None]
                 * params.pi[None, :, :]
-                * self.messages[1::2, None, :]
+                * self.messages[self.reverse, None, :]
             )
             tot = np.clip(t.sum(axis=(1, 2), keepdims=True), 1e-300, None)
             out[nonself] = t / tot
@@ -185,13 +238,12 @@ class BeliefState:
 
         zz = np.zeros((k, k))
         if self.m_directed:
-            mu_f = self.messages[0::2]
-            mu_r = self.messages[1::2]
-            t = mu_f[:, :, None] * params.pi[None, :, :] * mu_r[:, None, :]
-            tot = t.sum(axis=(1, 2), keepdims=True)
-            np.clip(tot, 1e-300, None, out=tot)
-            t /= tot
-            ts = t.sum(axis=0)
+            # sum over edges of mu_f pi mu_r / tot as one GEMM, without the
+            # (m, K, K) edge beliefs
+            mu_f = self.messages[self.forward]
+            mu_r = self.messages[self.reverse]
+            tot = np.clip(((mu_f @ params.pi) * mu_r).sum(axis=1), 1e-300, None)
+            ts = params.pi * ((mu_f / tot[:, None]).T @ mu_r)
             zz = (ts + ts.T) / n**2
         self.zzbar_cache = zz + pair_mass(self.self_loops, self.node_belief, n)
         return drift
@@ -243,19 +295,20 @@ class BeliefState:
 
 
 def compute_penalty(state, node, mode="fab"):
-    """Smoothed marginal-likelihood penalty for one node's messages.
+    """Smoothed marginal-likelihood penalty for the messages of one node.
 
-    t and T are the cluster and bicluster pseudo-counts excluding the node
-    itself, formed from the live expected proportions (which the closed-form
-    estimators equal at every update of the alternation); both are clamped
-    below at 1 so the penalty stays finite and nonnegative in degenerate
-    states.  Mode "fic" keeps only the cluster-size term, scaled by
-    K(K+1)/2, and leaves T_excl unset.
+    `node` may be a node-index array: lam and t_excl then hold one row per
+    node and T_excl a leading node axis.  t and T are the cluster and
+    bicluster pseudo-counts excluding the node itself, formed from the live
+    expected proportions (which the closed-form estimators equal at every
+    update of the alternation); both are clamped below at 1 so the penalty
+    stays finite and nonnegative in degenerate states.  Mode "fic" keeps
+    only the cluster-size term, scaled by K(K+1)/2, and leaves T_excl unset.
     """
     # cluster and bicluster masses enter through the live caches (h = n *
     # E[zbar], n^2 * E[zzbar]); tracking them within a sweep lets a shrinking
-    # cluster's penalty grow immediately instead of waiting for the next
-    # closed-form update
+    # cluster's penalty grow at the next colour class instead of waiting for
+    # the next closed-form update
     n = state.n
     b = state.node_belief[node]
     t = np.clip(state.h - b + 1.0, 1.0, None)
@@ -264,85 +317,92 @@ def compute_penalty(state, node, mode="fab"):
         k = state.k_active
         return PenaltyTerms((k * (k + 1) / 2.0) * r1_term, t, None)
     nbr = state.neighbor_belief_sum(node)
-    big_t = np.clip(n * n * state.zzbar_cache - np.outer(b, nbr) + 1.0, 1.0, None)
-    lam = r1_term + 0.5 * np.log1p(nbr[None, :] / big_t).sum(axis=1)
+    big_t = np.multiply(b[..., :, None], nbr[..., None, :])
+    np.subtract(n * n * state.zzbar_cache + 1.0, big_t, out=big_t)
+    np.clip(big_t, 1.0, None, out=big_t)
+    terms = np.divide(nbr[..., None, :], big_t)
+    lam = r1_term + 0.5 * np.log1p(terms, out=terms).sum(axis=-1)
     return PenaltyTerms(lam, t, big_t)
-
-
-# -- message updates ------------------------------------------------------------
-
-
-def _update_logits(state, log_gamma, pi, field, e, lam):
-    """Belief and message logits for directed edge e; shares the in-sum."""
-    i = state.src[e]
-    ids = state.in_messages(i)
-    incoming = state.messages[ids] @ pi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_in = np.log(incoming)
-        base = log_gamma + field + log_in.sum(axis=0)
-        if lam is not None:
-            base = base - lam
-        msg_logits = base - log_in[state.rev_pos[e]]
-    return base, msg_logits
-
-
-def update_message_standard(state, params, i, j, field=None):
-    """Plain sum-product message i -> j under the external-field model."""
-    e = state.directed_id(i, j)
-    log_gamma = np.log(np.clip(params.gamma, EPS_P, None))
-    if field is None:
-        field = external_field(params, state.zbar_cache, state.n) if state_field_on(state) else 0.0
-    _, logits = _update_logits(state, log_gamma, params.pi, field, e, None)
-    out = _softmax(logits)
-    if out is None:
-        raise MessageUnderflowError(i, j)
-    return out
-
-
-def update_message_fab(state, params, i, j, field=None, lam=None):
-    """Penalized message i -> j: the sending node's penalty enters the exponent."""
-    e = state.directed_id(i, j)
-    log_gamma = np.log(np.clip(params.gamma, EPS_P, None))
-    if field is None:
-        field = external_field(params, state.zbar_cache, state.n) if state_field_on(state) else 0.0
-    if lam is None:
-        lam = compute_penalty(state, i).lam
-    _, logits = _update_logits(state, log_gamma, params.pi, field, e, lam)
-    out = _softmax(logits)
-    if out is None:
-        raise MessageUnderflowError(i, j)
-    return out
-
-
-def state_field_on(state):
-    return getattr(state, "field_enabled", True)
 
 
 # -- sweeps ----------------------------------------------------------------------
 
 
+def _clamped(params):
+    """Affinities inside [EPS_P, 1 - EPS_P], so a hard 0 or 1 cannot make a logit -inf."""
+    return Params(params.gamma, np.clip(params.pi, EPS_P, 1.0 - EPS_P))
+
+
+def _update_class(state, cls, params, opts):
+    """New beliefs and out-messages for every node of one colour class.
+
+    The class shares no edge, so all the messages it reads come from other
+    classes; h and zzbar_cache are read as they stood when the class
+    started and then take one rank update each.  Returns the summed
+    absolute message change.
+    """
+    n, pi = state.n, params.pi
+    ids = cls.ids
+    out = state.rev[ids]  # out-message i->j sits on the row of in-message j->i
+    in_msgs = state.messages[ids]
+    in_vals = in_msgs @ pi
+    with np.errstate(divide="ignore"):
+        log_in = np.log(in_vals)
+    if opts.penalty != "none" and opts.live_prior:
+        log_prior = np.log(np.clip(state.zbar_cache, EPS_P, None))
+    else:
+        log_prior = np.log(np.clip(params.gamma, EPS_P, None))
+    base = log_prior + cls.segment_sum(log_in)
+    if opts.include_field:
+        base += external_field(params, state.zbar_cache, n)
+    if opts.penalty != "none":
+        base -= compute_penalty(state, cls.nodes, opts.penalty).lam
+
+    # each finite row of weights peaks at 1; out-message i->j is node i's
+    # weights without the factor of in-message j->i, so every such row sums
+    # to at least 1 (in_vals <= 1)
+    weights = np.exp(base - base.max(axis=1, keepdims=True))
+    new_msgs = _normalize_rows(
+        weights[cls.owner] / in_vals, lambda r: (int(state.src[out[r]]), int(state.dst[out[r]]))
+    )
+    new_belief = _normalize_rows(weights, lambda r: (int(cls.nodes[r]),) * 2)
+    old_msgs = state.messages[out]
+    damping = opts.resolved_damping()
+    if damping > 0.0:
+        new_msgs = (1.0 - damping) * new_msgs + damping * old_msgs
+    if opts.debug_checks:
+        assert np.allclose(new_msgs.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(new_msgs >= 0)
+    deltas = new_msgs - old_msgs
+    u = pi * (deltas.T @ in_msgs) / n**2
+    state.zzbar_cache += 0.5 * (u + u.T)
+    state.messages[out] = new_msgs
+    state.h += (new_belief - state.node_belief[cls.nodes]).sum(axis=0)
+    state.node_belief[cls.nodes] = new_belief
+    return float(np.abs(deltas).sum())
+
+
 def fabbp_run(graph, params, state, opts, rng=None):
     """Run penalized (or plain) BP sweeps until the messages settle.
 
-    Each sweep visits every node in fresh random order, updating its belief
-    and all of its outgoing messages (out-messages of a node depend only on
-    its in-messages, so the grouped update is still strictly asynchronous),
-    maintaining incremental moment caches and pruning low-mass clusters when
-    enabled.  Stops when the summed absolute message change per sweep,
-    normalized by the edge count, drops below opts.tol_msg or the sweep cap
-    is reached; a capped run is flagged, not an error.
+    Each sweep visits the colour classes of state.classes in an order drawn
+    afresh from rng, updating all beliefs and outgoing messages of a class
+    at once (nodes of a class share no edge, so the class update equals the
+    node-by-node one), maintaining incremental moment caches and pruning
+    low-mass clusters after each class when enabled.  The sweep reads the
+    affinities clamped into [EPS_P, 1 - EPS_P]; the returned params are the
+    given ones, sliced to the surviving clusters.  Stops when the summed
+    absolute message change per sweep, normalized by the edge count, drops
+    below opts.tol_msg or the sweep cap is reached; a capped run is flagged,
+    not an error.
     Returns (state, params, info).
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    n = state.n
-    state.field_enabled = opts.include_field
-    gamma = np.asarray(params.gamma, dtype=np.float64)
-    pi = np.asarray(params.pi, dtype=np.float64)
-    working = Params(gamma, pi)
-    log_gamma = np.log(np.clip(gamma, EPS_P, None))
-    penalty_mode = opts.penalty if opts.penalty != "none" else None
-    damping = opts.resolved_damping()
+    working = Params(
+        np.asarray(params.gamma, dtype=np.float64), np.asarray(params.pi, dtype=np.float64)
+    )
+    sweep_params = _clamped(working)
     m_edges = max(state.m_directed // 2, 1)
 
     sweeps = 0
@@ -353,54 +413,13 @@ def fabbp_run(graph, params, state, opts, rng=None):
     for _ in range(opts.max_sweeps):
         sweeps += 1
         total_delta = 0.0
-        for i in rng.permutation(n):
-            i = int(i)
-            in_ids = state.in_messages(i)
-            if in_ids.size:
-                with np.errstate(divide="ignore"):
-                    log_in = np.log(state.messages[in_ids] @ pi)
-                in_sum = log_in.sum(axis=0)
-            else:
-                log_in = None
-                in_sum = 0.0
-            field = -(pi @ state.h) if opts.include_field else 0.0
-            if penalty_mode and opts.live_prior:
-                log_gamma = np.log(np.clip(state.h / n, EPS_P, None))
-            base = log_gamma + field + in_sum
-            if penalty_mode:
-                base = base - compute_penalty(state, i, penalty_mode).lam
-            new_belief = _softmax(base)
-            if new_belief is None:
-                raise MessageUnderflowError(i, i)
-            state.h += new_belief - state.node_belief[i]
-            state.node_belief[i] = new_belief
-
-            out_ids = state.out_messages(i)
-            if out_ids.size:
-                logits = base[None, :] - log_in[state.rev_pos[out_ids]]
-                top = logits.max(axis=1, keepdims=True)
-                if not np.all(np.isfinite(top)):
-                    bad = out_ids[int(np.flatnonzero(~np.isfinite(top.ravel()))[0])]
-                    raise MessageUnderflowError(i, int(state.dst[bad]))
-                new_msgs = np.exp(logits - top)
-                new_msgs /= new_msgs.sum(axis=1, keepdims=True)
-                if damping > 0.0:
-                    new_msgs = (1.0 - damping) * new_msgs + damping * state.messages[out_ids]
-                if opts.debug_checks:
-                    assert np.allclose(new_msgs.sum(axis=1), 1.0, atol=1e-9)
-                    assert np.all(new_msgs >= 0)
-                deltas = new_msgs - state.messages[out_ids]
-                u = pi * (deltas.T @ state.messages[state.rev[out_ids]]) / n**2
-                state.zzbar_cache += 0.5 * (u + u.T)
-                state.messages[out_ids] = new_msgs
-                total_delta += float(np.abs(deltas).sum())
-
+        for c in rng.permutation(len(state.classes)):
+            total_delta += _update_class(state, state.classes[c], sweep_params, opts)
             if opts.prune and state.k_active > 1 and state.h.min() < PRUNE_SCALE:
                 working = state.prune_clusters(working)
-                gamma, pi = working.gamma, working.pi
-                log_gamma = np.log(np.clip(gamma, EPS_P, None))
+                sweep_params = _clamped(working)
 
-        drift = state.refresh_moments(working)
+        drift = state.refresh_moments(sweep_params)
         state.drift_log.append(drift)
         mean_delta = total_delta / m_edges
         if mean_delta < opts.tol_msg:
@@ -410,7 +429,7 @@ def fabbp_run(graph, params, state, opts, rng=None):
         # parameter-belief limit cycle on structureless data) would otherwise
         # burn the whole sweep budget; penalized sweeps legitimately spend
         # long plateaus collapsing redundant clusters
-        if penalty_mode is None:
+        if opts.penalty == "none":
             if mean_delta < 0.95 * best_delta:
                 best_delta = mean_delta
                 sweeps_since_best = 0
@@ -471,8 +490,8 @@ def _trivial_fit(graph, seed, method, warning):
     )
 
 
-def _soft_init_params(graph, labels, k, confidence=0.45):
-    """Closed-form parameters from softened spectral responsibilities.
+def _soft_init(graph, labels, k, confidence=0.45):
+    """Softened spectral responsibilities and their closed-form parameters.
 
     Mixing the hard assignment with the uniform distribution keeps redundant
     clusters' affinity rows nearly homogeneous at the start: the hard-stat
@@ -480,7 +499,7 @@ def _soft_init_params(graph, labels, k, confidence=0.45):
     lock the cluster count near its initial value.  The mix is a balance:
     much softer and the proportion dynamics merge true clusters before the
     likelihood separates them, much harder and clone splits of true clusters
-    survive to lock-in.
+    survive to lock-in.  Returns (params, beliefs).
     """
     n = graph.n
     b = np.full((n, k), (1.0 - confidence) / k)
@@ -492,7 +511,7 @@ def _soft_init_params(graph, labels, k, confidence=0.45):
         masked_mass=pair_mass(graph.masked_index, b, n),
     )
     params, _ = m_step(moments)
-    return params
+    return params, b
 
 
 def _fit_driver(graph, k_init, seed, opts, method):
@@ -507,11 +526,14 @@ def _fit_driver(graph, k_init, seed, opts, method):
     labels0, hard_params = spectral_init(
         graph, SpectralConfig(k=k_init, seed=seed_spectral.generate_state(1)[0])
     )
+    state = BeliefState(graph, k_init, np.random.default_rng(seed_msg))
     if opts.penalty != "none":
-        params = _soft_init_params(graph, labels0, k_init)
+        # penalized sweeps start from the spectral partition itself, not from
+        # the random draws: the soft responsibilities set beliefs and messages
+        params, beliefs = _soft_init(graph, labels0, k_init)
+        state.start_from(beliefs, params)
     else:
         params = hard_params
-    state = BeliefState(graph, k_init, np.random.default_rng(seed_msg))
     sweep_rng = np.random.default_rng(seed_sweep)
 
     trace = []

@@ -189,3 +189,35 @@ def dec_r2_tilde(zzbar, n):
 def dec_ell_tilde(n, k):
     n_d, k_d = Decimal(n), Decimal(k)
     return (k_d - 1) / 2 * Decimal(n).ln() + k_d * (k_d + 1) / 4 * (n_d * (n_d + 1) / 2).ln()
+
+
+def per_node_sweep(state, params, order, damping):
+    """One plain BP sweep, node by node, over state's colour classes in `order`.
+
+    The field, the penalty and the live prior are off.  Each node's messages
+    are looked up by (sender, receiver) pair and its neighbours walked one at
+    a time.  Returns the new (messages, node beliefs); `state` is unchanged.
+    """
+    msgs = state.messages.copy()
+    beliefs = state.node_belief.copy()
+    lookup = {(int(i), int(j)): e for e, (i, j) in enumerate(zip(state.src, state.dst))}
+    neighbours = {v: [] for v in range(state.n)}
+    for i, j in lookup:
+        neighbours[i].append(j)
+    log_gamma = np.log(params.gamma)
+
+    def softmax(x):
+        w = np.exp(x - x.max())
+        return w / w.sum()
+
+    for c in order:
+        for i in state.classes[c].nodes.tolist():
+            log_in = {j: np.log(msgs[lookup[(j, i)]] @ params.pi) for j in neighbours[i]}
+            total = log_gamma.copy()
+            for value in log_in.values():
+                total = total + value
+            beliefs[i] = softmax(total)
+            for j in neighbours[i]:
+                e = lookup[(i, j)]
+                msgs[e] = (1.0 - damping) * softmax(total - log_in[j]) + damping * msgs[e]
+    return msgs, beliefs

@@ -15,16 +15,16 @@ from blockbp import (
     fixed_k_fit,
     generate_sbm,
     parse_edge_list,
-    update_message_fab,
-    update_message_standard,
 )
+from blockbp import bp
 from blockbp.bp import (
     MessageUnderflowError,
+    PenaltyTerms,
     fit_result_from_json,
     fit_result_to_json,
 )
 from blockbp.model import hard_moments, m_step
-from oracles import Enumeration, dec_log
+from oracles import Enumeration, dec_log, per_node_sweep
 
 
 def path_graph(n):
@@ -33,6 +33,32 @@ def path_graph(n):
 
 def fresh_state(graph, k, seed=0):
     return BeliefState(graph, k, np.random.default_rng(seed))
+
+
+def two_cliques(size=25):
+    lines = []
+    for base in (0, size):
+        for i in range(size):
+            for j in range(i + 1, size):
+                lines.append(f"{base + i} {base + j}")
+    return parse_edge_list("\n".join(lines))
+
+
+def isolated_selfloop_graph():
+    """n=10: a triangle-rich component, self-loops on 3 and 6, isolated 7 and 8,
+    and node 9 with only a self-loop."""
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (1, 6), (3, 3), (6, 6), (9, 9)]
+    return Graph(10, edges)
+
+
+def one_sweep(graph, params, state, **opts):
+    opts = BPOptions(max_sweeps=1, tol_msg=0.0, prune=False, **opts)
+    return fabbp_run(graph, params, state, opts, np.random.default_rng(0))
+
+
+def constant_penalty(lam):
+    """compute_penalty stand-in giving every node the penalty vector lam."""
+    return lambda state, nodes, mode: PenaltyTerms(np.tile(lam, (len(nodes), 1)), None, None)
 
 
 class TestExternalField:
@@ -53,6 +79,8 @@ class TestExternalField:
 
 
 class TestMessageUpdates:
+    """One-sweep fabbp_run checks of the colour-class message update."""
+
     def test_uniform_fixed_point_for_identical_rows(self):
         g = path_graph(4)
         k = 3
@@ -61,42 +89,55 @@ class TestMessageUpdates:
         state.messages[:] = 1.0 / k
         state.node_belief[:] = 1.0 / k
         state.h = state.node_belief.sum(axis=0)
-        out = update_message_standard(state, params, 1, 2)
-        assert out == pytest.approx(np.full(k, 1 / k), abs=1e-12)
+        one_sweep(g, params, state, penalty="none")
+        assert state.messages == pytest.approx(np.full(state.messages.shape, 1 / k), abs=1e-12)
+        assert state.node_belief == pytest.approx(np.full((4, k), 1 / k), abs=1e-12)
 
     def test_degree_one_node_ignores_absent_neighbors(self):
+        # nodes 0 and 2 of the path have degree 1: their only out-message
+        # carries the prior alone, whatever the message into them holds
         g = path_graph(3)
         params = Params(np.array([0.7, 0.3]), np.array([[0.5, 0.1], [0.1, 0.4]]))
         state = fresh_state(g, 2, seed=3)
-        field = external_field(params, state.zbar_cache, state.n)
-        expected = np.exp(np.log(params.gamma) + field)
-        expected /= expected.sum()
-        out = update_message_standard(state, params, 0, 1)  # node 0 has degree 1
-        assert out == pytest.approx(expected, abs=1e-12)
+        one_sweep(g, params, state, penalty="none", include_field=False, damping=0.0)
+        for end in (0, 2):
+            leaf_to_centre = np.flatnonzero((state.src == end) & (state.dst == 1))[0]
+            assert state.messages[leaf_to_centre] == pytest.approx(params.gamma, abs=1e-12)
 
-    def test_constant_penalty_shift_is_invisible(self):
+    def test_constant_penalty_shift_is_invisible(self, monkeypatch):
         g = path_graph(5)
         params = Params(np.array([0.6, 0.4]), np.array([[0.4, 0.1], [0.1, 0.5]]))
-        state = fresh_state(g, 2, seed=1)
-        base = update_message_standard(state, params, 2, 3)
-        shifted = update_message_fab(state, params, 2, 3, lam=np.array([3.7, 3.7]))
-        assert shifted == pytest.approx(base, abs=1e-12)
+        plain = fresh_state(g, 2, seed=1)
+        one_sweep(g, params, plain, penalty="none", damping=0.0)
+        shifted = fresh_state(g, 2, seed=1)
+        monkeypatch.setattr(bp, "compute_penalty", constant_penalty(np.array([3.7, 3.7])))
+        one_sweep(g, params, shifted, penalty="fab", live_prior=False)
+        assert shifted.messages == pytest.approx(plain.messages, abs=1e-12)
+        assert shifted.node_belief == pytest.approx(plain.node_belief, abs=1e-12)
 
-    def test_larger_penalty_shrinks_that_component(self):
+    def test_larger_penalty_shrinks_that_component(self, monkeypatch):
         g = path_graph(5)
         params = Params(np.array([0.5, 0.5]), np.array([[0.4, 0.2], [0.2, 0.4]]))
-        state = fresh_state(g, 2, seed=2)
-        base = update_message_fab(state, params, 1, 2, lam=np.zeros(2))
-        penalized = update_message_fab(state, params, 1, 2, lam=np.array([0.8, 0.0]))
-        assert penalized[0] < base[0]
-        assert penalized[1] > base[1]
+        runs = []
+        for lam in (np.zeros(2), np.array([0.8, 0.0])):
+            state = fresh_state(g, 2, seed=2)
+            monkeypatch.setattr(bp, "compute_penalty", constant_penalty(lam))
+            one_sweep(g, params, state, penalty="fab", live_prior=False, include_field=False)
+            runs.append(state)
+        base, penalized = runs
+        assert np.all(penalized.messages[:, 0] < base.messages[:, 0])
+        assert np.all(penalized.node_belief[:, 0] < base.node_belief[:, 0])
 
     def test_underflow_raises_with_edge_name(self):
-        g = path_graph(3)
-        params = Params(np.array([1.0]), np.array([[0.0]]))
-        state = fresh_state(g, 1)
-        with pytest.raises(MessageUnderflowError, match="0->1"):
-            update_message_standard(state, params, 0, 1)
+        g = Graph(2, [(0, 1)])
+        params = Params(np.array([0.5, 0.5]), np.array([[0.4, 0.1], [0.1, 0.4]]))
+        state = fresh_state(g, 2)
+        state.messages[:] = np.nan
+        with pytest.raises(MessageUnderflowError) as caught:
+            one_sweep(g, params, state, penalty="none")
+        i, j = caught.value.edge
+        assert {i, j} == {0, 1}
+        assert str(caught.value) == f"message underflow on edge {i}->{j}"
 
     def test_tree_marginals_match_enumeration(self):
         # edges-only model: sum-product on a tree is exact
@@ -109,6 +150,49 @@ class TestMessageUpdates:
         state, _, info = fabbp_run(g, params, state, opts, np.random.default_rng(6))
         enum = Enumeration(g, params, include_nonedges=False)
         assert np.max(np.abs(state.node_belief - enum.node_marginals)) < 1e-8
+
+
+class TestColourClasses:
+    def graphs(self):
+        sbm, _ = generate_sbm(120, [0.5, 0.5], np.array([[0.2, 0.02], [0.02, 0.2]]), seed=3)
+        return [isolated_selfloop_graph(), path_graph(7), two_cliques(6), sbm]
+
+    def test_colouring_is_proper_and_partitions_nodes(self):
+        for g in self.graphs():
+            state = fresh_state(g, 2)
+            nodes = np.concatenate([cls.nodes for cls in state.classes])
+            assert np.array_equal(np.sort(nodes), np.arange(g.n))
+            colour = np.empty(g.n, dtype=np.int64)
+            for c, cls in enumerate(state.classes):
+                colour[cls.nodes] = c
+                # in-lists grouped by node: each id points into its owner
+                assert np.array_equal(state.dst[cls.ids], cls.nodes[cls.owner])
+            edges = g.edges[g.edges[:, 0] != g.edges[:, 1]]
+            assert np.all(colour[edges[:, 0]] != colour[edges[:, 1]])
+
+    def test_colouring_draws_nothing_from_the_rng(self):
+        g = isolated_selfloop_graph()
+        rng = np.random.default_rng(5)
+        state = BeliefState(g, 3, rng)
+        # the message and belief draws are all the constructor takes
+        reference = np.random.default_rng(5)
+        reference.uniform(size=(state.m_directed, 3))
+        reference.uniform(size=(g.n, 3))
+        assert rng.uniform() == reference.uniform()
+
+    def test_class_sweep_matches_per_node_reference(self):
+        g = isolated_selfloop_graph()
+        pi = np.array([[0.6, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.7]])
+        params = Params(np.array([0.5, 0.3, 0.2]), pi)
+        state = fresh_state(g, 3, seed=4)
+        order = np.random.default_rng(7).permutation(len(state.classes))
+        msgs, beliefs = per_node_sweep(state, params, order, damping=0.5)
+        opts = BPOptions(
+            penalty="none", include_field=False, prune=False, max_sweeps=1, tol_msg=0.0
+        )
+        fabbp_run(g, params, state, opts, np.random.default_rng(7))
+        assert np.max(np.abs(state.messages - msgs)) < 1e-12
+        assert np.max(np.abs(state.node_belief - beliefs)) < 1e-12
 
 
 class TestComputePenalty:
@@ -193,6 +277,21 @@ class TestComputePenalty:
         lam = compute_penalty(state, node, "fic").lam
         assert lam == pytest.approx(expected, rel=1e-12)
 
+    def test_node_array_matches_scalar_calls(self):
+        g = isolated_selfloop_graph()
+        state = fresh_state(g, 3, seed=6)
+        state.refresh_moments(Params(np.full(3, 1 / 3), np.full((3, 3), 0.3)))
+        nodes = np.array([3, 7, 0, 9])
+        for mode in ("fab", "fic"):
+            batch = compute_penalty(state, nodes, mode)
+            for row, node in enumerate(nodes):
+                single = compute_penalty(state, int(node), mode)
+                assert single.lam.shape == (3,)
+                assert batch.lam[row] == pytest.approx(single.lam, rel=1e-15)
+                if mode == "fab":
+                    assert single.T_excl.shape == (3, 3)
+                    assert batch.T_excl[row] == pytest.approx(single.T_excl, rel=1e-15)
+
 
 class TestFabbpRun:
     def test_k1_converges_immediately(self):
@@ -208,10 +307,10 @@ class TestFabbpRun:
         n = 200
         pi = np.array([[30 / n, 1 / n], [1 / n, 30 / n]])
         g, planted = generate_sbm(n, [0.5, 0.5], pi, seed=3)
-        from blockbp.bp import _soft_init_params
+        from blockbp.bp import _soft_init
 
         labels4 = planted.labels * 2 + (np.arange(n) % 2)  # 4-way split of 2 blocks
-        params = _soft_init_params(g, labels4, 4)
+        params, _ = _soft_init(g, labels4, 4)
         state = fresh_state(g, 4, seed=7)
         opts = BPOptions(tol_msg=0.0, max_sweeps=5, prune=False)
         state, _, _ = fabbp_run(g, params, state, opts, np.random.default_rng(8))
@@ -262,16 +361,22 @@ class TestFabbpRun:
 
 class TestFitDrivers:
     def test_two_cliques_selects_two_exact(self):
-        lines = []
-        for base in (0, 25):
-            for i in range(25):
-                for j in range(i + 1, 25):
-                    lines.append(f"{base + i} {base + j}")
-        g = parse_edge_list("\n".join(lines))
+        g = two_cliques()
         fit = f2ab_fit(g, k_max=6, seed=0)
         assert fit.selected_k == 2
         truth = np.array([0] * 25 + [1] * 25)
         assert adjusted_rand_index(fit.map_assignment, truth) == pytest.approx(1.0)
+
+    def test_two_cliques_select_two_on_ten_seeds(self):
+        g = two_cliques()
+        assert [f2ab_fit(g, k_max=6, seed=seed).selected_k for seed in range(10)] == [2] * 10
+
+    def test_hard_zero_affinity_gives_finite_fit(self):
+        # one edge among 50 nodes: the M-step sets some affinities to exactly 0
+        fit = fixed_k_fit(Graph(50, [(0, 1)]), 2, 0)
+        assert fit.selected_k == 2
+        assert np.all(np.isfinite(fit.node_marginals))
+        assert np.all(np.isfinite(fit.params.pi))
 
     def test_kmax_one_degenerates_to_density(self):
         g, _ = generate_sbm(80, [0.5, 0.5], np.full((2, 2), 0.1), seed=3)

@@ -111,14 +111,14 @@ class TestMomentsAgainstLoopReference:
         assert got.masked_mass == pytest.approx(ref.masked_mass, rel=1e-12, abs=1e-15)
 
     def test_soft_init_params(self):
-        from blockbp.bp import _soft_init_params
+        from blockbp.bp import _soft_init
 
         g = masked_selfloop_graph()
         labels = np.array([0, 1, 2, 0, 1, 2, 0])
         beliefs = np.full((g.n, 3), 0.55 / 3)
         beliefs[np.arange(g.n), labels] += 0.45
         ref, _ = m_step(StateShim(g, beliefs).moments())
-        got = _soft_init_params(g, labels, 3)
+        got, _ = _soft_init(g, labels, 3)
         assert got.gamma == pytest.approx(ref.gamma, rel=1e-12)
         assert got.pi == pytest.approx(ref.pi, rel=1e-12)
 
