@@ -167,11 +167,14 @@ class BeliefState:
         self.rev = position[order ^ 1]
         self.forward, self.reverse = position[0::2], position[1::2]
 
-        self.in_idx = np.argsort(self.dst, kind="stable")
-        counts = np.bincount(self.dst, minlength=self.n)
-        self.in_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.self_loops = graph.edges[graph.edges[:, 0] == graph.edges[:, 1]]
+        # nodes in storage order: node v's in-messages are the in_count[v]
+        # rows from in_first[v]
         by_colour = np.argsort(colour, kind="stable")
+        self.in_count = np.bincount(self.dst, minlength=self.n)
+        counts = self.in_count[by_colour]
+        self.in_first = np.empty(self.n, dtype=np.int64)
+        self.in_first[by_colour] = np.cumsum(counts) - counts
+        self.self_loops = graph.edges[graph.edges[:, 0] == graph.edges[:, 1]]
         bounds = np.cumsum(np.bincount(colour))[:-1]
         self.classes = [self.in_lists(nodes) for nodes in np.split(by_colour, bounds)]
 
@@ -186,12 +189,11 @@ class BeliefState:
     def in_lists(self, nodes):
         """InLists of the given node-index array."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        first = self.in_ptr[nodes]
-        counts = self.in_ptr[nodes + 1] - first
+        counts = self.in_count[nodes]
         starts = np.cumsum(counts) - counts
         owner = np.repeat(np.arange(nodes.size), counts)
-        pos = first[owner] + np.arange(owner.size) - starts[owner]
-        return InLists(nodes, self.in_idx[pos], owner, starts, np.flatnonzero(counts))
+        ids = self.in_first[nodes][owner] + np.arange(owner.size) - starts[owner]
+        return InLists(nodes, ids, owner, starts, np.flatnonzero(counts))
 
     def start_from(self, beliefs, params):
         """Set node beliefs and every message b[src] from one belief matrix."""
@@ -206,9 +208,13 @@ class BeliefState:
     def zbar_cache(self):
         return self.h / self.n
 
-    def neighbor_belief_sum(self, node):
-        """Summed beliefs of a node's neighbours; one row per node for an array."""
-        lists = self.in_lists(np.atleast_1d(node))
+    def neighbor_belief_sum(self, node, lists=None):
+        """Summed beliefs of a node's neighbours; one row per node for an array.
+
+        `lists`, when given, is the InLists of the node array.
+        """
+        if lists is None:
+            lists = self.in_lists(np.atleast_1d(node))
         out = lists.segment_sum(self.node_belief[self.src[lists.ids]])
         return out if np.ndim(node) else out[0]
 
@@ -294,7 +300,7 @@ class BeliefState:
 # -- penalties ----------------------------------------------------------------
 
 
-def compute_penalty(state, node, mode="fab"):
+def compute_penalty(state, node, mode="fab", lists=None):
     """Smoothed marginal-likelihood penalty for the messages of one node.
 
     `node` may be a node-index array: lam and t_excl then hold one row per
@@ -304,6 +310,7 @@ def compute_penalty(state, node, mode="fab"):
     update of the alternation); both are clamped below at 1 so the penalty
     stays finite and nonnegative in degenerate states.  Mode "fic" keeps
     only the cluster-size term, scaled by K(K+1)/2, and leaves T_excl unset.
+    `lists`, when given, is the InLists of the node array.
     """
     # cluster and bicluster masses enter through the live caches (h = n *
     # E[zbar], n^2 * E[zzbar]); tracking them within a sweep lets a shrinking
@@ -316,7 +323,7 @@ def compute_penalty(state, node, mode="fab"):
     if mode == "fic":
         k = state.k_active
         return PenaltyTerms((k * (k + 1) / 2.0) * r1_term, t, None)
-    nbr = state.neighbor_belief_sum(node)
+    nbr = state.neighbor_belief_sum(node, lists)
     big_t = np.multiply(b[..., :, None], nbr[..., None, :])
     np.subtract(n * n * state.zzbar_cache + 1.0, big_t, out=big_t)
     np.clip(big_t, 1.0, None, out=big_t)
@@ -356,7 +363,7 @@ def _update_class(state, cls, params, opts):
     if opts.include_field:
         base += external_field(params, state.zbar_cache, n)
     if opts.penalty != "none":
-        base -= compute_penalty(state, cls.nodes, opts.penalty).lam
+        base -= compute_penalty(state, cls.nodes, opts.penalty, cls).lam
 
     # each finite row of weights peaks at 1; out-message i->j is node i's
     # weights without the factor of in-message j->i, so every such row sums

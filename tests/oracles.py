@@ -191,12 +191,14 @@ def dec_ell_tilde(n, k):
     return (k_d - 1) / 2 * Decimal(n).ln() + k_d * (k_d + 1) / 4 * (n_d * (n_d + 1) / 2).ln()
 
 
-def per_node_sweep(state, params, order, damping):
-    """One plain BP sweep, node by node, over state's colour classes in `order`.
+def per_node_sweep(state, params, order, damping, include_field=False, live_prior=False):
+    """One penalty-free BP sweep, node by node, over state's colour classes in `order`.
 
-    The field, the penalty and the live prior are off.  Each node's messages
-    are looked up by (sender, receiver) pair and its neighbours walked one at
-    a time.  Returns the new (messages, node beliefs); `state` is unchanged.
+    Each node's messages are looked up by (sender, receiver) pair and its
+    neighbours walked one at a time.  The field -pi @ h and, with
+    `live_prior`, the prior log(h / n) in place of log gamma read h as the
+    summed beliefs at the start of the node's class.  Returns the new
+    (messages, node beliefs); `state` is unchanged.
     """
     msgs = state.messages.copy()
     beliefs = state.node_belief.copy()
@@ -204,16 +206,19 @@ def per_node_sweep(state, params, order, damping):
     neighbours = {v: [] for v in range(state.n)}
     for i, j in lookup:
         neighbours[i].append(j)
-    log_gamma = np.log(params.gamma)
 
     def softmax(x):
         w = np.exp(x - x.max())
         return w / w.sum()
 
     for c in order:
+        h = beliefs.sum(axis=0)
+        base = np.log(h / state.n) if live_prior else np.log(params.gamma)
+        if include_field:
+            base = base - params.pi @ h
         for i in state.classes[c].nodes.tolist():
             log_in = {j: np.log(msgs[lookup[(j, i)]] @ params.pi) for j in neighbours[i]}
-            total = log_gamma.copy()
+            total = base.copy()
             for value in log_in.values():
                 total = total + value
             beliefs[i] = softmax(total)

@@ -58,7 +58,9 @@ def one_sweep(graph, params, state, **opts):
 
 def constant_penalty(lam):
     """compute_penalty stand-in giving every node the penalty vector lam."""
-    return lambda state, nodes, mode: PenaltyTerms(np.tile(lam, (len(nodes), 1)), None, None)
+    return lambda state, nodes, mode, lists=None: PenaltyTerms(
+        np.tile(lam, (len(nodes), 1)), None, None
+    )
 
 
 class TestExternalField:
@@ -93,16 +95,29 @@ class TestMessageUpdates:
         assert state.messages == pytest.approx(np.full(state.messages.shape, 1 / k), abs=1e-12)
         assert state.node_belief == pytest.approx(np.full((4, k), 1 / k), abs=1e-12)
 
-    def test_degree_one_node_ignores_absent_neighbors(self):
-        # nodes 0 and 2 of the path have degree 1: their only out-message
-        # carries the prior alone, whatever the message into them holds
+    def test_degree_one_node_ignores_absent_neighbors(self, monkeypatch):
+        # nodes 0 and 2 of the path have degree 1 and share a colour class:
+        # their only out-message carries the prior and the field alone,
+        # whatever the message into them holds, and the field of both reads
+        # h as it stood when their class started
         g = path_graph(3)
         params = Params(np.array([0.7, 0.3]), np.array([[0.5, 0.1], [0.1, 0.4]]))
         state = fresh_state(g, 2, seed=3)
-        one_sweep(g, params, state, penalty="none", include_field=False, damping=0.0)
+        h_at_class_start = {}
+        update_class = bp._update_class
+
+        def recording(state, cls, params, opts):
+            h_at_class_start.update({int(v): state.h.copy() for v in cls.nodes})
+            return update_class(state, cls, params, opts)
+
+        monkeypatch.setattr(bp, "_update_class", recording)
+        one_sweep(g, params, state, penalty="none", damping=0.0)
         for end in (0, 2):
             leaf_to_centre = np.flatnonzero((state.src == end) & (state.dst == 1))[0]
-            assert state.messages[leaf_to_centre] == pytest.approx(params.gamma, abs=1e-12)
+            expected = params.gamma * np.exp(-params.pi @ h_at_class_start[end])
+            assert state.messages[leaf_to_centre] == pytest.approx(
+                expected / expected.sum(), abs=1e-12
+            )
 
     def test_constant_penalty_shift_is_invisible(self, monkeypatch):
         g = path_graph(5)
@@ -180,15 +195,25 @@ class TestColourClasses:
         reference.uniform(size=(g.n, 3))
         assert rng.uniform() == reference.uniform()
 
-    def test_class_sweep_matches_per_node_reference(self):
+    @pytest.mark.parametrize("include_field", [False, True])
+    @pytest.mark.parametrize("live_prior", [False, True])
+    def test_class_sweep_matches_per_node_reference(self, include_field, live_prior, monkeypatch):
         g = isolated_selfloop_graph()
         pi = np.array([[0.6, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.7]])
         params = Params(np.array([0.5, 0.3, 0.2]), pi)
         state = fresh_state(g, 3, seed=4)
         order = np.random.default_rng(7).permutation(len(state.classes))
-        msgs, beliefs = per_node_sweep(state, params, order, damping=0.5)
+        msgs, beliefs = per_node_sweep(state, params, order, 0.5, include_field, live_prior)
+        # the live prior belongs to penalized sweeps; a zero penalty leaves it alone
+        monkeypatch.setattr(bp, "compute_penalty", constant_penalty(np.zeros(3)))
         opts = BPOptions(
-            penalty="none", include_field=False, prune=False, max_sweeps=1, tol_msg=0.0
+            penalty="fab" if live_prior else "none",
+            live_prior=live_prior,
+            include_field=include_field,
+            damping=0.5,
+            prune=False,
+            max_sweeps=1,
+            tol_msg=0.0,
         )
         fabbp_run(g, params, state, opts, np.random.default_rng(7))
         assert np.max(np.abs(state.messages - msgs)) < 1e-12
