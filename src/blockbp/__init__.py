@@ -43,18 +43,15 @@ from .bp import (
 from .criteria import (
     CriterionReport,
     bethe_entropy,
-    cicl_value,
     criterion_report,
     ell_tilde,
     exact_joint_marginal,
     ffic_lower_bound,
-    fic_value,
-    icl_value,
     joint_marginal_laplace,
     r1_tilde,
     r2_tilde,
 )
-from .spectral import SpectralConfig, spectral_init
+from .spectral import spectral_init
 from .evaluate import EvalReport, adjusted_rand_index, npll, run_synthetic_protocol
 
 __all__ = [
@@ -70,10 +67,8 @@ __all__ = [
     "NaturalParams",
     "Params",
     "PlantedAssignment",
-    "SpectralConfig",
     "adjusted_rand_index",
     "bethe_entropy",
-    "cicl_value",
     "compute_penalty",
     "criterion_report",
     "ell_tilde",
@@ -83,12 +78,10 @@ __all__ = [
     "f2ab_fit",
     "fabbp_run",
     "fic_bp_fit",
-    "fic_value",
     "ffic_lower_bound",
     "fixed_k_fit",
     "generate_sbm",
     "hessian_blocks",
-    "icl_value",
     "joint_log_likelihood",
     "joint_marginal_laplace",
     "m_step",

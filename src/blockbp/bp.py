@@ -29,6 +29,7 @@ from .model import (
     EPS_P,
     Moments,
     Params,
+    clamped,
     m_step,
     pair_mass,
 )
@@ -225,13 +226,11 @@ class BeliefState:
         out = np.zeros((edges.shape[0], k, k))
         nonself = edges[:, 0] != edges[:, 1]
         if self.m_directed:
-            t = (
-                self.messages[self.forward, :, None]
-                * params.pi[None, :, :]
-                * self.messages[self.reverse, None, :]
-            )
-            tot = np.clip(t.sum(axis=(1, 2), keepdims=True), 1e-300, None)
-            out[nonself] = t / tot
+            # in place, so one (m, K, K) temporary lives beside the output
+            t = self.messages[self.forward, :, None] * params.pi
+            t *= self.messages[self.reverse, None, :]
+            t /= np.clip(t.sum(axis=(1, 2), keepdims=True), 1e-300, None)
+            out[nonself] = t
         out[~nonself] = self.node_belief[edges[~nonself, 0], :, None] * np.eye(k)
         return out
 
@@ -335,11 +334,6 @@ def compute_penalty(state, node, mode="fab", lists=None):
 # -- sweeps ----------------------------------------------------------------------
 
 
-def _clamped(params):
-    """Affinities inside [EPS_P, 1 - EPS_P], so a hard 0 or 1 cannot make a logit -inf."""
-    return Params(params.gamma, np.clip(params.pi, EPS_P, 1.0 - EPS_P))
-
-
 def _update_class(state, cls, params, opts):
     """New beliefs and out-messages for every node of one colour class.
 
@@ -409,7 +403,7 @@ def fabbp_run(graph, params, state, opts, rng=None):
     working = Params(
         np.asarray(params.gamma, dtype=np.float64), np.asarray(params.pi, dtype=np.float64)
     )
-    sweep_params = _clamped(working)
+    sweep_params = clamped(working)
     m_edges = max(state.m_directed // 2, 1)
 
     sweeps = 0
@@ -424,7 +418,7 @@ def fabbp_run(graph, params, state, opts, rng=None):
             total_delta += _update_class(state, state.classes[c], sweep_params, opts)
             if opts.prune and state.k_active > 1 and state.h.min() < PRUNE_SCALE:
                 working = state.prune_clusters(working)
-                sweep_params = _clamped(working)
+                sweep_params = clamped(working)
 
         drift = state.refresh_moments(sweep_params)
         state.drift_log.append(drift)
@@ -523,16 +517,18 @@ def _soft_init(graph, labels, k, confidence=0.45):
 
 def _fit_driver(graph, k_init, seed, opts, method):
     """Alternate BP sweeps with closed-form M-steps until the affinities settle."""
-    from .spectral import SpectralConfig, spectral_init
+    from .spectral import spectral_init
 
     if graph.m == 0:
         return _trivial_fit(graph, seed, method, "graph has no edges; returning K=1 fit")
+    fit_warnings = []
+    if k_init > graph.n:
+        fit_warnings.append(f"cluster count {k_init} exceeds n={graph.n}; clamped to {graph.n}")
+        k_init = graph.n
 
     ss = np.random.SeedSequence(seed)
     seed_spectral, seed_msg, seed_sweep = ss.spawn(3)
-    labels0, hard_params = spectral_init(
-        graph, SpectralConfig(k=k_init, seed=seed_spectral.generate_state(1)[0])
-    )
+    labels0, hard_params = spectral_init(graph, k_init, seed_spectral.generate_state(1)[0])
     state = BeliefState(graph, k_init, np.random.default_rng(seed_msg))
     if opts.penalty != "none":
         # penalized sweeps start from the spectral partition itself, not from
@@ -595,6 +591,7 @@ def _fit_driver(graph, k_init, seed, opts, method):
         n=graph.n,
         seed=seed,
         method=method,
+        warnings=fit_warnings,
         node_ids=graph.node_ids,
     )
 

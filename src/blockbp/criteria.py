@@ -20,6 +20,7 @@ from scipy.special import betaln, gammaln
 from .model import (
     EPS_P,
     bicluster_counts,
+    clamped,
     expected_joint_log_likelihood,
     hard_moments,
     joint_log_likelihood,
@@ -101,10 +102,12 @@ def ell_tilde(n, k):
 # -- entropy ---------------------------------------------------------------------
 
 
-def _entropy(p):
-    p = np.asarray(p, dtype=np.float64)
-    terms = np.where(p > 0, p * np.log(np.clip(p, 1e-300, None)), 0.0)
-    return -float(terms.sum())
+def _row_entropies(p):
+    """-sum p log p within each leading-axis row (0 log 0 = 0), with one temporary."""
+    t = np.clip(p, 1e-300, None)
+    np.log(t, out=t)
+    t *= p
+    return -t.sum(axis=tuple(range(1, t.ndim)))
 
 
 def bethe_entropy(graph, state, params, edge_beliefs=None):
@@ -114,17 +117,12 @@ def bethe_entropy(graph, state, params, edge_beliefs=None):
     (1 - degree) times each node-belief entropy.  The Bethe form is not
     guaranteed nonnegative off trees; the value is reported as-is.
     """
-    beliefs = np.asarray(state.node_belief, dtype=np.float64)
-    degrees = graph.degrees
-    plogp = np.where(beliefs > 0, beliefs * np.log(np.clip(beliefs, 1e-300, None)), 0.0)
-    node_part = float(((1.0 - degrees) * (-plogp.sum(axis=1))).sum())
+    node_part = float(((1.0 - graph.degrees) * _row_entropies(state.node_belief)).sum())
     edge_part = 0.0
     if graph.m:
         eb = state.edge_beliefs(params) if edge_beliefs is None else edge_beliefs
         nonself = graph.edges[:, 0] != graph.edges[:, 1]  # self-loops carry no message
-        pb = eb[nonself]
-        terms = np.where(pb > 0, pb * np.log(np.clip(pb, 1e-300, None)), 0.0)
-        edge_part = -float(terms.sum())
+        edge_part = float(_row_entropies(eb)[nonself].sum())
     return edge_part + node_part
 
 
@@ -132,6 +130,12 @@ def bethe_entropy(graph, state, params, edge_beliefs=None):
 
 
 def _components(graph, state, params):
+    """Expected log-likelihood, moments and Bethe entropy at the clamped affinities.
+
+    Reading pi inside [EPS_P, 1 - EPS_P] (as the sweep does) keeps a hard 0
+    or 1 from the M-step from meeting soft belief weight as log(0).
+    """
+    params = clamped(params)
     eb = state.edge_beliefs(params)
     expected_ll = expected_joint_log_likelihood(graph, state.node_belief, params, eb)
     moments = state.moments()
@@ -140,7 +144,11 @@ def _components(graph, state, params):
 
 
 def ffic_lower_bound(graph, state, params):
-    """Lower bound of the fully marginalized log-likelihood at these beliefs."""
+    """Lower bound of the fully marginalized log-likelihood at these beliefs.
+
+    The ffic_lb field of criterion_report, without the hard-assignment pass
+    that icl needs; the fit driver records it once per outer iteration.
+    """
     expected_ll, moments, entropy = _components(graph, state, params)
     k = state.k_active
     return (
@@ -152,32 +160,13 @@ def ffic_lower_bound(graph, state, params):
     )
 
 
-def fic_value(graph, state, params):
-    """Criterion with the cluster-size penalty scaled by K(K+1)/2 and no
-    bicluster term."""
-    expected_ll, moments, entropy = _components(graph, state, params)
-    k = state.k_active
-    scale = k * (k + 1) / 2.0
-    return expected_ll - scale * r1_tilde(moments.zbar, graph.n) - ell_tilde(graph.n, k) + entropy
-
-
-def icl_value(graph, state, params):
-    """Classification-likelihood criterion: hard MAP plug-in minus dimension
-    penalty."""
-    k = state.k_active
-    labels = state.map_assignment()
-    ml_params, _ = m_step(hard_moments(graph, labels, k))
-    return joint_log_likelihood(graph, labels, ml_params) - ell_tilde(graph.n, k)
-
-
-def cicl_value(graph, state, params):
-    """Entropy-corrected classification criterion on the soft beliefs."""
-    expected_ll, _, entropy = _components(graph, state, params)
-    return expected_ll + entropy - ell_tilde(graph.n, state.k_active)
-
-
 def criterion_report(graph, state, params):
-    """All criterion values from one shared pass over the beliefs."""
+    """All criterion values from one shared pass over the beliefs.
+
+    ffic_lb and fic take the smoothed penalties (fic scales r1 by K(K+1)/2
+    and drops r2); icl is the hard MAP plug-in likelihood and cicl the
+    entropy-corrected soft one, each minus the dimension penalty.
+    """
     expected_ll, moments, entropy = _components(graph, state, params)
     n, k = graph.n, state.k_active
     r1 = r1_tilde(moments.zbar, n)

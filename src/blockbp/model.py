@@ -119,6 +119,11 @@ def triangular_index(k_total):
     return [(k, l) for k in range(k_total) for l in range(k, k_total)]
 
 
+def clamped(params):
+    """Affinities inside [EPS_P, 1 - EPS_P], so a hard 0 or 1 cannot make a log -inf."""
+    return Params(params.gamma, np.clip(params.pi, EPS_P, 1.0 - EPS_P))
+
+
 # -- counting ----------------------------------------------------------------
 
 

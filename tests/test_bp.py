@@ -409,6 +409,13 @@ class TestFitDrivers:
         assert fit.selected_k == 1
         assert fit.params.pi[0, 0] == pytest.approx(g.m / g.num_pairs, rel=1e-9)
 
+    def test_cluster_count_clamped_to_n(self):
+        fit = f2ab_fit(Graph(5, [(i, i) for i in range(5)]), 20, 0)
+        assert fit.selected_k <= 5
+        assert fit.params.k == fit.selected_k
+        assert any("clamped to 5" in w for w in fit.warnings)
+        assert not f2ab_fit(two_cliques(), 6, 0).warnings
+
     def test_empty_graph_returns_trivial_fit(self):
         g = Graph(5, [])
         fit = f2ab_fit(g, k_max=4, seed=0)

@@ -9,15 +9,12 @@ from blockbp import (
     Graph,
     Params,
     bethe_entropy,
-    cicl_value,
     criterion_report,
     ell_tilde,
     exact_joint_marginal,
     fabbp_run,
     ffic_lower_bound,
-    fic_value,
     generate_sbm,
-    icl_value,
     joint_log_likelihood,
     joint_marginal_laplace,
     m_step,
@@ -303,7 +300,7 @@ class TestCriterionValues:
             beliefs = rng.dirichlet(np.ones(k), size=30)
             state = StateShim(g, beliefs)
             params, _ = m_step(state.moments())
-            value = fic_value(g, state, params)
+            value = criterion_report(g, state, params).fic
             from blockbp.model import expected_joint_log_likelihood
 
             eb = state.edge_beliefs(params)
@@ -323,15 +320,14 @@ class TestCriterionValues:
         state = point_mass_state(g, [0] * 4, 1)
         params, _ = m_step(hard_moments(g, np.zeros(4, dtype=int), 1))
         expected = joint_log_likelihood(g, np.zeros(4, dtype=int), params) - ell_tilde(4, 1)
-        assert icl_value(g, state, params) == pytest.approx(expected, abs=1e-12)
+        assert criterion_report(g, state, params).icl == pytest.approx(expected, abs=1e-12)
 
     def test_cicl_equals_icl_at_k1(self):
         g = parse_edge_list("0 1\n1 2\n2 3")
         state = point_mass_state(g, [0] * 4, 1)
         params, _ = m_step(hard_moments(g, np.zeros(4, dtype=int), 1))
-        assert cicl_value(g, state, params) == pytest.approx(
-            icl_value(g, state, params), abs=1e-10
-        )
+        report = criterion_report(g, state, params)
+        assert report.cicl == pytest.approx(report.icl, abs=1e-10)
 
     def test_icl_hard_vs_cicl_soft_gap_quantified(self):
         g, _ = generate_sbm(8, [0.5, 0.5], np.full((2, 2), 0.5), seed=12)
@@ -339,8 +335,8 @@ class TestCriterionValues:
         enum = Enumeration(g, params)
         pairs = {(int(i), int(j)): enum.pair_marginal(i, j) for i, j in g.edges}
         state = StateShim(g, enum.node_marginals, pairs)
-        icl = icl_value(g, state, params)
-        cicl = cicl_value(g, state, params)
+        report = criterion_report(g, state, params)
+        icl, cicl = report.icl, report.cicl
         entropy = bethe_entropy(g, state, params)
         from blockbp.model import expected_joint_log_likelihood
 
@@ -353,17 +349,45 @@ class TestCriterionValues:
         assert icl <= cicl + abs(entropy) + abs(soft_hard_gap) + 1e-9
 
     def test_criterion_report_consistency(self):
+        from blockbp.model import expected_joint_log_likelihood
+
         g, _ = generate_sbm(40, [0.5, 0.5], np.full((2, 2), 0.2), seed=6)
         rng = np.random.default_rng(1)
         beliefs = rng.dirichlet([2, 2], size=40)
         state = StateShim(g, beliefs)
         params, _ = m_step(state.moments())
         report = criterion_report(g, state, params)
+
+        moments = state.moments()
+        expected_ll = expected_joint_log_likelihood(g, beliefs, params, state.edge_beliefs(params))
+        entropy = bethe_entropy(g, state, params)
+        r1, r2, lt = r1_tilde(moments.zbar, g.n), r2_tilde(moments.zzbar, g.n), ell_tilde(g.n, 2)
+        labels = state.map_assignment()
+        ml_params, _ = m_step(hard_moments(g, labels, 2))
+        assert report.ffic_lb == pytest.approx(expected_ll - r1 - r2 - lt + entropy, rel=1e-12)
         assert report.ffic_lb == pytest.approx(ffic_lower_bound(g, state, params), rel=1e-12)
-        assert report.fic == pytest.approx(fic_value(g, state, params), rel=1e-12)
-        assert report.icl == pytest.approx(icl_value(g, state, params), rel=1e-12)
-        assert report.cicl == pytest.approx(cicl_value(g, state, params), rel=1e-12)
+        assert report.fic == pytest.approx(expected_ll - 3 * r1 - lt + entropy, rel=1e-12)
+        assert report.icl == pytest.approx(joint_log_likelihood(g, labels, ml_params) - lt, rel=1e-12)
+        assert report.cicl == pytest.approx(expected_ll + entropy - lt, rel=1e-12)
+        assert report.entropy == pytest.approx(entropy, rel=1e-12)
+        assert (report.r1_tilde, report.r2_tilde, report.ell_tilde) == pytest.approx((r1, r2, lt))
         assert report.ell_tilde >= 0
+        assert not report.degenerate
+
+    def test_hard_affinities_give_finite_criteria(self):
+        # the M-step sets some affinities of these dense small graphs to
+        # exactly 0 or 1; read unclamped, soft beliefs on the matching pairs
+        # make ffic, fic and cicl -inf on several of these 40 fits
+        from blockbp import fixed_k_fit
+
+        for seed in range(20):
+            g, _ = generate_sbm(12, [1.0], np.array([[0.5]]), seed=seed)
+            for k in (2, 3):
+                report = fixed_k_fit(g, k, seed).criteria
+                assert not report.degenerate, (seed, k)
+                assert all(
+                    math.isfinite(v) for v in (report.ffic_lb, report.fic, report.icl, report.cicl)
+                ), (seed, k)
 
 
 class TestExactJointMarginal:

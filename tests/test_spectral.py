@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from blockbp import SpectralConfig, adjusted_rand_index, generate_sbm, parse_edge_list, spectral_init
-from blockbp.spectral import _normalized_adjacency, kmeans, orthogonal_iteration
+from blockbp import adjusted_rand_index, evaluate, generate_sbm, parse_edge_list, spectral_init
+from blockbp import spectral
+from blockbp.spectral import EIG_TOL, _normalized_adjacency, kmeans, orthogonal_iteration
 
 
 def two_cliques(size=25):
@@ -17,7 +18,7 @@ def two_cliques(size=25):
 class TestSpectralInit:
     def test_two_cliques_separated_exactly(self):
         g = two_cliques()
-        labels, params = spectral_init(g, SpectralConfig(k=2, seed=0))
+        labels, params = spectral_init(g, 2, 0)
         truth = np.array([0] * 25 + [1] * 25)
         assert adjusted_rand_index(labels, truth) == pytest.approx(1.0)
         off = params.pi[0, 1]
@@ -25,20 +26,20 @@ class TestSpectralInit:
 
     def test_k1_density(self):
         g, _ = generate_sbm(60, [1.0], np.array([[0.1]]), seed=1)
-        labels, params = spectral_init(g, SpectralConfig(k=1, seed=0))
+        labels, params = spectral_init(g, 1, 0)
         assert set(labels.tolist()) == {0}
         assert params.pi[0, 0] == pytest.approx(g.m / g.num_pairs, rel=1e-12)
 
     def test_deterministic_given_seed(self):
         g, _ = generate_sbm(120, [0.5, 0.5], np.full((2, 2), 0.08), seed=2)
-        a, pa = spectral_init(g, SpectralConfig(k=3, seed=9))
-        b, pb = spectral_init(g, SpectralConfig(k=3, seed=9))
+        a, pa = spectral_init(g, 3, 9)
+        b, pb = spectral_init(g, 3, 9)
         assert np.array_equal(a, b)
         assert np.array_equal(pa.pi, pb.pi)
 
     def test_labels_in_range(self):
         g, _ = generate_sbm(80, [0.5, 0.5], np.full((2, 2), 0.1), seed=3)
-        labels, _ = spectral_init(g, SpectralConfig(k=5, seed=1))
+        labels, _ = spectral_init(g, 5, 1)
         assert labels.min() >= 0 and labels.max() < 5
 
     def test_planted_four_recovery_majority(self):
@@ -48,16 +49,27 @@ class TestSpectralInit:
         hits = 0
         for seed in range(10):
             g, planted = generate_sbm(n, np.full(4, 0.25), pi, seed=seed)
-            labels, _ = spectral_init(g, SpectralConfig(k=4, seed=seed))
+            labels, _ = spectral_init(g, 4, seed)
             if adjusted_rand_index(labels, planted.labels) >= 0.5:
                 hits += 1
         assert hits > 5
 
-    def test_config_validation(self):
+    def test_rejects_k_below_one(self):
         with pytest.raises(ValueError):
-            SpectralConfig(k=0)
-        with pytest.raises(ValueError):
-            SpectralConfig(k=2, kmeans_restarts=0)
+            spectral_init(two_cliques(), 0, 0)
+
+    def test_random_fallback_when_iteration_stops_above_tol(self, monkeypatch):
+        # no residual falls below a zero tolerance, so the iteration runs to
+        # its cap and the labels are drawn at random
+        monkeypatch.setattr(spectral, "EIG_TOL", 0.0)
+        g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.1), seed=7)
+        with pytest.warns(UserWarning, match="did not converge"):
+            labels, params = spectral_init(g, 3, 4)
+        assert labels.min() >= 0 and labels.max() < 3
+        assert params.k == 3
+        with pytest.warns(UserWarning, match="did not converge"):
+            again, _ = spectral_init(g, 3, 4)
+        assert np.array_equal(labels, again)
 
 
 class TestOrthogonalIteration:
@@ -74,12 +86,29 @@ class TestOrthogonalIteration:
         a = a + a.T
         w, v = np.linalg.eigh(a)
         op = a / np.abs(w).max()  # scale into [-1, 1] like a normalized adjacency
-        q, residual = orthogonal_iteration(op, 40, 3, rng, tol=1e-10, max_iters=5000)
-        assert residual < 1e-8
+        q, residual = orthogonal_iteration(op, 40, 3, rng)
+        assert residual < EIG_TOL
+        # Davis-Kahan: ||sin theta||_F <= ||op q - q ritz||_F / gap, where the
+        # gap separates the Ritz values from the rest of op's spectrum; the
+        # projector distance is sqrt(2) ||sin theta||_F
+        ritz = q.T @ op @ q
+        frob_residual = np.linalg.norm(op @ q - q @ ritz)
+        lam = np.sort(np.linalg.eigvalsh(op))
+        gap = np.linalg.eigvalsh(ritz).min() - lam[-4]
+        assert gap > 0
         top = v[:, np.argsort(w)[-3:]]
-        # projector distance: Q and top span the same subspace
         proj_gap = np.linalg.norm(q @ q.T - top @ top.T)
-        assert proj_gap < 1e-6
+        assert proj_gap <= np.sqrt(2) * frob_residual / gap
+
+    @pytest.mark.parametrize("tol", [EIG_TOL, 0.0], ids=["stops_at_tol", "runs_to_cap"])
+    def test_returns_residual_of_returned_subspace(self, tol, monkeypatch):
+        monkeypatch.setattr(spectral, "EIG_TOL", tol)
+        n = 600
+        g, _ = generate_sbm(n, *evaluate.planted_four_params(n), seed=3)
+        op = _normalized_adjacency(g, float(g.degree_sum()) / n)
+        q, residual = orthogonal_iteration(op, n, 20, np.random.default_rng(0))
+        opq = op @ q
+        assert residual == float(np.max(np.abs(opq - q @ (q.T @ opq))))
 
 
 class TestKmeans:
