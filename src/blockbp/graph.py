@@ -258,15 +258,19 @@ def parse_masked(text):
 
 
 def _pair_from_index(r, n):
-    """Decode a flat index over {(i, j) : 0 <= i <= j < n} to the pair."""
-    # row i starts at offset i*n - i*(i-1)/2 and holds n - i pairs
-    i = int((2 * n + 1 - math.sqrt((2 * n + 1) ** 2 - 8 * r)) // 2)
-    while i * n - i * (i - 1) // 2 > r:
-        i -= 1
-    while (i + 1) * n - i * (i + 1) // 2 <= r:
-        i += 1
-    j = i + (r - (i * n - i * (i - 1) // 2))
-    return i, j
+    """Decode flat indices over {(i, j) : 0 <= i <= j < n} to pair arrays (i, j)."""
+    r = np.asarray(r, dtype=np.int64)
+
+    def start(i):  # row i starts at offset i*n - i*(i-1)/2 and holds n - i pairs
+        return i * n - i * (i - 1) // 2
+
+    # the float root is a first guess; the integer fix-ups below decide
+    i = ((2 * n + 1 - np.sqrt((2 * n + 1) ** 2 - 8 * r)) // 2).astype(np.int64)
+    while np.any(low := start(i) > r):
+        i -= low
+    while np.any(high := start(i + 1) <= r):
+        i += high
+    return i, i + (r - start(i))
 
 
 def _sample_distinct_indices(rng, universe, count):
@@ -316,7 +320,7 @@ def generate_sbm(n, gamma, pi, seed):
     labels = rng.choice(k, size=n, p=gamma)
     members = [np.flatnonzero(labels == c) for c in range(k)]
 
-    pairs = []
+    pairs = [np.empty((0, 2), dtype=np.int64)]
     for a in range(k):
         na = members[a].shape[0]
         for b in range(a, k):
@@ -334,15 +338,12 @@ def generate_sbm(n, gamma, pi, seed):
                 continue
             idx = _sample_distinct_indices(rng, universe, count)
             if a == b:
-                for r in idx.tolist():
-                    u, v = _pair_from_index(r, na)
-                    pairs.append((members[a][u], members[a][v]))
+                u, v = _pair_from_index(idx, na)
             else:
-                nb = members[b].shape[0]
-                for r in idx.tolist():
-                    pairs.append((members[a][r // nb], members[b][r % nb]))
+                u, v = np.divmod(idx, members[b].shape[0])
+            pairs.append(np.stack([members[a][u], members[b][v]], axis=1))
 
-    graph = Graph(n, pairs)
+    graph = Graph(n, np.concatenate(pairs))
     return graph, PlantedAssignment(labels, k)
 
 
@@ -361,11 +362,11 @@ def mask_pairs(graph, fraction, seed):
     if count < 1:
         raise ValueError("fraction too small: no pair selected")
     rng = np.random.default_rng(seed)
-    idx = _sample_distinct_indices(rng, universe, count)
-    edge_set = graph.edge_set
+    i, j = _pair_from_index(np.sort(_sample_distinct_indices(rng, universe, count)), n)
+    # pairs as flat keys i*n + j, one membership test each way
+    held, edge_keys = i * n + j, graph.edges[:, 0] * n + graph.edges[:, 1]
+    bits = np.isin(held, edge_keys).astype(np.int64)
     masked = dict(graph.masked)
-    for r in sorted(idx.tolist()):
-        i, j = _pair_from_index(r, n)
-        masked[(i, j)] = 1 if (i, j) in edge_set else 0
-    keep = [(i, j) for i, j in graph.edges if (int(i), int(j)) not in masked]
+    masked.update(zip(zip(i.tolist(), j.tolist()), bits.tolist()))
+    keep = graph.edges[~np.isin(edge_keys, held)]
     return Graph(n, keep, masked=masked, node_ids=graph.node_ids)

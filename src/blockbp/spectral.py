@@ -7,7 +7,8 @@ matrix-vector products, which has one stopping rule: the subspace residual
 falls below EIG_TOL, or EIG_MAX_ITERS iterations pass.  A subspace that
 stops above EIG_TOL is not used, and the labels are drawn at random.
 Otherwise the row-normalized embedding is clustered by k-means with
-k-means++ seeding, best of KMEANS_RESTARTS restarts.
+k-means++ seeding, best of KMEANS_RESTARTS restarts; a Lloyd step is one GEMM
+for the distances ||c||^2 - 2 x c^T and one for the centroid sums onehot^T x.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ def orthogonal_iteration(op, n, k, rng):
     that q.  The benchmark traces this function by its name.
     """
     q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    opq = op @ q
     for _ in range(EIG_MAX_ITERS):
-        q, _ = np.linalg.qr(0.5 * (op @ q + q))
+        q, _ = np.linalg.qr(0.5 * (opq + q))
         opq = op @ q
         residual = float(np.max(np.abs(opq - q @ (q.T @ opq))))
         if residual < EIG_TOL:
@@ -79,6 +81,7 @@ def _kmeans_pp_centers(x, k, rng):
 def kmeans(x, k, rng):
     """k-means with k-means++ seeding; best restart by within-cluster cost.
 
+    Distances drop the row constant ||x||^2, which cannot move the argmin.
     Ties in assignment break toward the lowest-index centroid; empty clusters
     are allowed and simply keep their stale centroid.
     """
@@ -90,17 +93,14 @@ def kmeans(x, k, rng):
         centers = _kmeans_pp_centers(x, k, rng)
         labels = np.zeros(n, dtype=np.int64)
         for it in range(KMEANS_ITERS):
-            d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            d2 = (centers**2).sum(axis=1) - 2.0 * (x @ centers.T)
             new_labels = np.argmin(d2, axis=1)
             if it > 0 and np.array_equal(new_labels, labels):
                 break
             labels = new_labels
-            for c in range(k):
-                member = labels == c
-                if member.any():
-                    centers[c] = x[member].mean(axis=0)
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        cost = float(d2[np.arange(n), labels].sum())
+            counts = np.bincount(labels, minlength=k)[:, None]
+            np.divide(np.eye(k)[labels].T @ x, counts, out=centers, where=counts > 0)
+        cost = float(((x - centers[labels]) ** 2).sum(axis=1).sum())
         if cost < best_cost - 1e-12:
             best_cost = cost
             best_labels = labels.copy()

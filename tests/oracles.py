@@ -7,6 +7,7 @@ to the same value.
 """
 
 import itertools
+import math
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -226,3 +227,76 @@ def per_node_sweep(state, params, order, damping, include_field=False, live_prio
                 e = lookup[(i, j)]
                 msgs[e] = (1.0 - damping) * softmax(total - log_in[j]) + damping * msgs[e]
     return msgs, beliefs
+
+
+def orthogonal_iteration_reference(op, n, k, rng):
+    """`spectral.orthogonal_iteration` with two sparse products per iteration:
+    one to step the subspace and one for the residual of the stepped q."""
+    from blockbp.spectral import EIG_MAX_ITERS, EIG_TOL
+
+    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    for _ in range(EIG_MAX_ITERS):
+        q, _ = np.linalg.qr(0.5 * (op @ q + q))
+        opq = op @ q
+        residual = float(np.max(np.abs(opq - q @ (q.T @ opq))))
+        if residual < EIG_TOL:
+            break
+    return q, residual
+
+
+def kmeans_reference(x, k, rng):
+    """`spectral.kmeans` with an (n, k, d) distance array per Lloyd step and
+    one centroid mean per cluster; same seeding, restarts and stop rule."""
+    from blockbp.spectral import KMEANS_ITERS, KMEANS_RESTARTS, _kmeans_pp_centers
+
+    n = x.shape[0]
+    if k == 1:
+        return np.zeros(n, dtype=np.int64), 0.0
+    best_labels, best_cost = None, np.inf
+    for _ in range(KMEANS_RESTARTS):
+        centers = _kmeans_pp_centers(x, k, rng)
+        labels = np.zeros(n, dtype=np.int64)
+        for it in range(KMEANS_ITERS):
+            d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = np.argmin(d2, axis=1)
+            if it > 0 and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for c in range(k):
+                member = labels == c
+                if member.any():
+                    centers[c] = x[member].mean(axis=0)
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        cost = float(d2[np.arange(n), labels].sum())
+        if cost < best_cost - 1e-12:
+            best_cost = cost
+            best_labels = labels.copy()
+    return best_labels, best_cost
+
+
+def pair_from_index_scalar(r, n):
+    """Decode one flat index over {(i, j) : 0 <= i <= j < n}: a float root,
+    then integer fix-ups one step at a time."""
+    i = int((2 * n + 1 - math.sqrt((2 * n + 1) ** 2 - 8 * r)) // 2)
+    while i * n - i * (i - 1) // 2 > r:
+        i -= 1
+    while (i + 1) * n - i * (i + 1) // 2 <= r:
+        i += 1
+    return i, i + (r - (i * n - i * (i - 1) // 2))
+
+
+def mask_pairs_reference(graph, fraction, seed):
+    """`graph.mask_pairs` pair by pair: decode each drawn index with the scalar
+    decoder in sorted order and look it up in the edge set."""
+    from blockbp import Graph
+    from blockbp.graph import _sample_distinct_indices
+
+    n = graph.n
+    rng = np.random.default_rng(seed)
+    idx = _sample_distinct_indices(rng, graph.num_pairs, math.ceil(fraction * graph.num_pairs))
+    masked = dict(graph.masked)
+    for r in sorted(idx.tolist()):
+        i, j = pair_from_index_scalar(r, n)
+        masked[(i, j)] = 1 if (i, j) in graph.edge_set else 0
+    keep = [(i, j) for i, j in graph.edges if (int(i), int(j)) not in masked]
+    return Graph(n, keep, masked=masked, node_ids=graph.node_ids)

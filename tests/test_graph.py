@@ -5,12 +5,20 @@ from blockbp import (
     EdgeListParseError,
     Graph,
     PlantedAssignment,
+    evaluate,
     generate_sbm,
     mask_pairs,
     parse_edge_list,
     serialize_edge_list,
 )
-from blockbp.graph import parse_labels, parse_masked, serialize_labels, serialize_masked
+from blockbp.graph import (
+    _pair_from_index,
+    parse_labels,
+    parse_masked,
+    serialize_labels,
+    serialize_masked,
+)
+from oracles import all_pairs, mask_pairs_reference, masked_selfloop_graph, pair_from_index_scalar
 
 
 class TestParseEdgeList:
@@ -146,6 +154,37 @@ class TestMaskPairs:
             assert bit == (1 if g.has_edge(i, j) else 0)
         assert masked.masked_index.tolist() == [list(p) for p in sorted(masked.masked)]
         assert not masked.masked_index.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_pair_by_pair_reference(self, seed):
+        n = 600
+        g, _ = generate_sbm(n, *evaluate.planted_four_params(n), seed=seed)
+        # the second graph already holds masked pairs, which the draw may hit
+        for graph, fraction in ((g, 0.04), (masked_selfloop_graph(), 0.3)):
+            got = mask_pairs(graph, fraction, seed)
+            want = mask_pairs_reference(graph, fraction, seed)
+            assert np.array_equal(got.edges, want.edges)
+            assert list(got.masked.items()) == list(want.masked.items())
+            assert np.array_equal(got.masked_index, want.masked_index)
+
+
+class TestPairIndex:
+    @pytest.mark.parametrize("n", [1, 2, 7, 600])
+    def test_decodes_every_index_like_the_scalar_decoder(self, n):
+        r = np.arange(n * (n + 1) // 2)
+        i, j = _pair_from_index(r, n)
+        scalar = [pair_from_index_scalar(int(x), n) for x in r]
+        assert list(zip(i.tolist(), j.tolist())) == scalar == list(all_pairs(n))
+
+    def test_row_boundaries_at_large_n(self):
+        # at n = 1e9 the float root cannot resolve the last pair of a row from
+        # the first of the next, so the integer fix-ups must decide
+        n = 10**9
+        rows = np.random.default_rng(0).integers(1, n, size=2000)
+        starts = rows * n - rows * (rows - 1) // 2
+        i, j = _pair_from_index(np.concatenate([starts, starts - 1]), n)
+        assert np.array_equal(i, np.concatenate([rows, rows - 1]))
+        assert np.array_equal(j, np.concatenate([rows, np.full_like(rows, n - 1)]))
 
 
 class TestGraphInvariants:

@@ -4,6 +4,19 @@ import pytest
 from blockbp import adjusted_rand_index, evaluate, generate_sbm, parse_edge_list, spectral_init
 from blockbp import spectral
 from blockbp.spectral import EIG_TOL, _normalized_adjacency, kmeans, orthogonal_iteration
+from oracles import kmeans_reference, orthogonal_iteration_reference
+
+
+def planted_operator(seed, n=600):
+    g, _ = generate_sbm(n, *evaluate.planted_four_params(n), seed=seed)
+    return _normalized_adjacency(g, float(g.degree_sum()) / n)
+
+
+def same_state(rng):
+    """A generator that draws the same stream as `rng` from here on."""
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
 
 
 def two_cliques(size=25):
@@ -110,6 +123,14 @@ class TestOrthogonalIteration:
         opq = op @ q
         assert residual == float(np.max(np.abs(opq - q @ (q.T @ opq))))
 
+    def test_matches_two_product_reference(self):
+        # one sparse product per iteration, reused from the residual check
+        op = planted_operator(seed=4)
+        q, residual = orthogonal_iteration(op, 600, 20, np.random.default_rng(1))
+        q_ref, residual_ref = orthogonal_iteration_reference(op, 600, 20, np.random.default_rng(1))
+        assert np.array_equal(q, q_ref)
+        assert residual == residual_ref
+
 
 class TestKmeans:
     def test_separated_blobs(self):
@@ -124,3 +145,41 @@ class TestKmeans:
         x = np.zeros((4, 2))  # all identical points
         labels, _ = kmeans(x, 3, np.random.default_rng(0))
         assert set(labels.tolist()) == {0}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = orthogonal_iteration(planted_operator(seed), 600, 20, rng)
+        x = q / np.clip(np.linalg.norm(q, axis=1, keepdims=True), 1e-12, None)
+        twin = same_state(rng)
+        labels, cost = kmeans(x, 20, rng)
+        labels_ref, cost_ref = kmeans_reference(x, 20, twin)
+        # at n=600 OpenBLAS adds a cluster's rows in the GEMM in row order,
+        # as the per-cluster mean does, so the centroids agree bit for bit
+        assert np.array_equal(labels, labels_ref)
+        assert cost == cost_ref
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_empty_cluster_keeps_stale_centroid(self, seed):
+        # three distinct points for six clusters: k-means++ runs out of
+        # distinct seeds, so duplicate centroids lose every tie and stay empty
+        x = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [5, 7, 4], axis=0)
+        rng = np.random.default_rng(seed)
+        twin = same_state(rng)
+        labels, cost = kmeans(x, 6, rng)
+        labels_ref, cost_ref = kmeans_reference(x, 6, twin)
+        assert np.array_equal(labels, labels_ref)
+        assert cost == cost_ref == 0.0
+        assert len(set(labels.tolist())) == 3
+
+    def test_first_assignment_is_followed_by_an_update(self, monkeypatch):
+        # every point starts nearest centroid 0, so the first assignment equals
+        # the all-zero start; centroid 0 must still move to the mean before
+        # the stop check, and the two far centroids stay empty and stale
+        seeds = np.array([[0.2, 0.0], [10.0, 10.0], [-10.0, 10.0]])
+        monkeypatch.setattr(spectral, "_kmeans_pp_centers", lambda x, k, rng: seeds.copy())
+        x = np.repeat([[0.0, 0.0], [1.0, 0.0]], 3, axis=0)
+        labels, cost = kmeans(x, 3, np.random.default_rng(0))
+        labels_ref, cost_ref = kmeans_reference(x, 3, np.random.default_rng(0))
+        assert labels.tolist() == labels_ref.tolist() == [0] * 6
+        assert cost == cost_ref == pytest.approx(6 * 0.25)
