@@ -8,7 +8,10 @@ outgoing messages in a few array operations.  The incremental moment caches
 take one rank update per class (and are restored exactly at every sweep
 boundary); clusters whose expected proportion falls below 0.1/n are pruned
 after each class when enabled.  Unconnected-node factors are folded into a
-shared external field, keeping a sweep at O(m K^2).
+shared external field, keeping a sweep at O(m K^2).  The moment caches and
+the criteria read the pairwise edge beliefs only through one (m, K)
+contraction, `BeliefState.edge_contraction`; the (m, K, K) beliefs of
+`BeliefState.edge_beliefs` are kept as the tests' reference.
 
 Penalty modes:
   "none"  plain sum-product messages,
@@ -220,7 +223,12 @@ class BeliefState:
         return out if np.ndim(node) else out[0]
 
     def edge_beliefs(self, params):
-        """Pairwise beliefs aligned with graph.edges rows (self rows diagonal)."""
+        """Pairwise beliefs aligned with graph.edges rows (self rows diagonal).
+
+        Builds the (m, K, K) array.  The fit and the criteria need only its
+        sum and its entropy, which they get from `edge_contraction` and the
+        (m, K) messages; the tests keep this as the reference for both.
+        """
         k = self.k_active
         edges = self.graph.edges
         out = np.zeros((edges.shape[0], k, k))
@@ -234,6 +242,20 @@ class BeliefState:
         out[~nonself] = self.node_belief[edges[~nonself, 0], :, None] * np.eye(k)
         return out
 
+    def edge_contraction(self, params):
+        """Per-edge normalisers and summed pairwise belief of the message edges.
+
+        For edge row e with forward message f_e and reverse message r_e the
+        pairwise belief is b_e = f_e r_e^T * pi / z_e with z_e = f_e^T pi r_e.
+        Returns (z, s): z holds z_e per message-carrying edge row (in the
+        order of `forward`), clipped below at 1e-300, and s = sum_e b_e =
+        pi * ((F / z)^T R), one GEMM, without the (m, K, K) beliefs.
+        """
+        mu_f = self.messages[self.forward]
+        mu_r = self.messages[self.reverse]
+        z = np.clip(((mu_f @ params.pi) * mu_r).sum(axis=1), 1e-300, None)
+        return z, params.pi * ((mu_f / z[:, None]).T @ mu_r)
+
     def refresh_moments(self, params):
         """Exact recomputation of both moment caches from current beliefs."""
         n, k = self.n, self.k_active
@@ -241,16 +263,8 @@ class BeliefState:
         drift = float(np.max(np.abs(self.h - h_exact) / n)) if k else 0.0
         self.h = h_exact
 
-        zz = np.zeros((k, k))
-        if self.m_directed:
-            # sum over edges of mu_f pi mu_r / tot as one GEMM, without the
-            # (m, K, K) edge beliefs
-            mu_f = self.messages[self.forward]
-            mu_r = self.messages[self.reverse]
-            tot = np.clip(((mu_f @ params.pi) * mu_r).sum(axis=1), 1e-300, None)
-            ts = params.pi * ((mu_f / tot[:, None]).T @ mu_r)
-            zz = (ts + ts.T) / n**2
-        self.zzbar_cache = zz + pair_mass(self.self_loops, self.node_belief, n)
+        _, s = self.edge_contraction(params)
+        self.zzbar_cache = (s + s.T) / n**2 + pair_mass(self.self_loops, self.node_belief, n)
         return drift
 
     def moments(self):

@@ -177,6 +177,12 @@ def _cmd_eval(args):
                     "labels file is indexed by integer node ids but the fitted "
                     "graph uses non-integer tokens"
                 ) from exc
+            unlabelled = [tok for tok in order if not 0 <= tok < len(labels)]
+            if unlabelled:
+                raise ValueError(
+                    f"labels file covers nodes 0..{len(labels) - 1}; "
+                    f"the fit has node {unlabelled[0]}"
+                )
             labels = labels[order]
         ari = evaluate.adjusted_rand_index(fit.map_assignment, labels)
     report = {

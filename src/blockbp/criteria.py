@@ -2,7 +2,10 @@
 
 The smoothed penalties r1/r2 and the dimension penalty ell_tilde assemble the
 tractable lower bound of the fully marginalized log-likelihood; icl/cicl/fic
-are the baseline criteria evaluated from the same belief state.  For small
+are the baseline criteria evaluated from the same belief state.  The
+expected log-likelihood and the Bethe entropy read that state through one
+(m, K) edge contraction (`BeliefState.edge_contraction`), so a criteria pass
+holds O(mK) memory and no (m, K, K) pairwise beliefs.  For small
 hard assignments, `exact_joint_marginal` integrates the parameters out in
 closed form (conjugate Beta/Dirichlet integrals under flat natural-parameter
 priors) and `joint_marginal_laplace` evaluates the matching asymptotic
@@ -102,28 +105,50 @@ def ell_tilde(n, k):
 # -- entropy ---------------------------------------------------------------------
 
 
-def _row_entropies(p):
-    """-sum p log p within each leading-axis row (0 log 0 = 0), with one temporary."""
+def _plogp(p):
+    """p log p elementwise (0 log 0 = 0), in one temporary."""
     t = np.clip(p, 1e-300, None)
     np.log(t, out=t)
     t *= p
-    return -t.sum(axis=tuple(range(1, t.ndim)))
+    return t
 
 
-def bethe_entropy(graph, state, params, edge_beliefs=None):
+def _bethe_entropy(graph, state, pi, z):
+    """Bethe entropy of `state` at clamped affinities pi, given its per-edge normalisers z.
+
+    On an edge with messages f, r the pairwise belief b_kl = f_k pi_kl r_l / z
+    has row sums f (pi r) / z and column sums r (pi^T f) / z, so
+    sum b log b = [sum_k f_k (pi r)_k log f_k + sum_l r_l (pi^T f)_l log r_l
+                   + f^T (pi * log pi) r] / z - log z,
+    where every array is (m, K) or (K, K).  The last two terms nearly cancel
+    on a confident edge, so they are combined per edge before the sum over
+    edges: summed separately (as sum_kl s_kl log pi_kl - sum_e log z_e) they
+    leave a rounding error near 1e-13 of the entropy of a fitted state.
+    """
+    node_part = float(((1.0 - graph.degrees) * -_plogp(state.node_belief).sum(axis=1)).sum())
+    f = state.messages[state.forward]
+    r = state.messages[state.reverse]
+    per_edge = np.einsum("ek,ek->e", _plogp(f), r @ pi.T)
+    per_edge += np.einsum("ek,ek->e", _plogp(r), f @ pi)
+    per_edge += np.einsum("ek,ek->e", f @ (pi * np.log(pi)), r)
+    per_edge /= z
+    per_edge -= np.log(z)
+    return -float(per_edge.sum()) + node_part
+
+
+def bethe_entropy(graph, state, params):
     """Bethe entropy of the current beliefs.
 
     Pairwise-belief entropies over message-carrying edges plus
-    (1 - degree) times each node-belief entropy.  The Bethe form is not
-    guaranteed nonnegative off trees; the value is reported as-is.
+    (1 - degree) times each node-belief entropy.  The pairwise part comes
+    from `BeliefState.edge_contraction` and the (m, K) messages, without
+    the (m, K, K) beliefs, at the affinities clamped as in
+    `criterion_report`, so no edge has a zero normaliser.  The Bethe form is
+    not guaranteed nonnegative off trees; the value is reported as-is.
     """
-    node_part = float(((1.0 - graph.degrees) * _row_entropies(state.node_belief)).sum())
-    edge_part = 0.0
-    if graph.m:
-        eb = state.edge_beliefs(params) if edge_beliefs is None else edge_beliefs
-        nonself = graph.edges[:, 0] != graph.edges[:, 1]  # self-loops carry no message
-        edge_part = float(_row_entropies(eb)[nonself].sum())
-    return edge_part + node_part
+    params = clamped(params)
+    z, _ = state.edge_contraction(params)
+    return _bethe_entropy(graph, state, params.pi, z)
 
 
 # -- criterion values ---------------------------------------------------------------
@@ -133,13 +158,18 @@ def _components(graph, state, params):
     """Expected log-likelihood, moments and Bethe entropy at the clamped affinities.
 
     Reading pi inside [EPS_P, 1 - EPS_P] (as the sweep does) keeps a hard 0
-    or 1 from the M-step from meeting soft belief weight as log(0).
+    or 1 from the M-step from meeting soft belief weight as log(0).  Both
+    the expected log-likelihood's edge weights and the entropy read one
+    edge contraction.
     """
     params = clamped(params)
-    eb = state.edge_beliefs(params)
-    expected_ll = expected_joint_log_likelihood(graph, state.node_belief, params, eb)
+    z, s = state.edge_contraction(params)
+    b = state.node_belief
+    # self-loop rows hold the diagonal belief diag(b_i)
+    edge_sum = s + np.diag(b[state.self_loops[:, 0]].sum(axis=0))
+    expected_ll = expected_joint_log_likelihood(graph, b, params, edge_sum)
     moments = state.moments()
-    entropy = bethe_entropy(graph, state, params, edge_beliefs=eb)
+    entropy = _bethe_entropy(graph, state, params.pi, z)
     return expected_ll, moments, entropy
 
 

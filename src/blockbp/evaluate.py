@@ -27,7 +27,7 @@ def npll(fit, masked_observations):
     Each masked pair is scored with the factorized marginal predictor
     E[z_i]^T Pi E[z_j] (diagonal form for self-pairs), clamped away from 0
     and 1; the total is divided by n*(n+1)/2 regardless of how many pairs
-    were masked.
+    were masked.  A pair naming a node outside the fit raises ValueError.
     """
     if not masked_observations:
         raise ValueError("masked set is empty")
@@ -37,6 +37,10 @@ def npll(fit, masked_observations):
     pi = fit.params.pi
     n = fit.n
     i, j = np.array(list(masked_observations), dtype=np.int64).reshape(-1, 2).T
+    outside = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise ValueError(f"masked pair ({i[bad]}, {j[bad]}) outside the fit's nodes 0..{n - 1}")
     x = np.fromiter(masked_observations.values(), dtype=bool, count=len(masked_observations))
     p = np.where(i == j, b[i] @ np.diagonal(pi), ((b[i] @ pi) * b[j]).sum(axis=1))
     p = np.clip(p, EPS_P, 1.0 - EPS_P)

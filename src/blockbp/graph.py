@@ -73,21 +73,27 @@ class Graph:
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint out of range [0, n)")
         masked = dict(masked) if masked else {}
-        for (i, j), bit in masked.items():
-            if not (0 <= i <= j < n):
-                raise ValueError(f"masked pair ({i}, {j}) out of range or unordered")
-            if bit not in (0, 1):
-                raise ValueError("masked observation must be 0 or 1")
-        if masked:
-            edge_set = {(int(i), int(j)) for i, j in edges}
-            overlap = edge_set & set(masked)
-            if overlap:
-                raise ValueError(f"masked pairs present in training edges: {sorted(overlap)[:3]}")
+        pairs = np.array(list(masked), dtype=np.int64).reshape(-1, 2)
+        i, j = pairs[:, 0], pairs[:, 1]
+        bad = (i < 0) | (i > j) | (j >= n)
+        if bad.any():
+            a, b = pairs[np.argmax(bad)]
+            raise ValueError(f"masked pair ({a}, {b}) out of range or unordered")
+        if not set(masked.values()) <= {0, 1}:
+            raise ValueError("masked observation must be 0 or 1")
+        # pairs as flat keys i*n + j: lexicographic order, one membership test
+        keys = i * n + j
+        overlap = np.isin(keys, edges[:, 0] * n + edges[:, 1])
+        if overlap.any():
+            first = pairs[overlap][np.argsort(keys[overlap])][:3]
+            raise ValueError(
+                f"masked pairs present in training edges: {list(map(tuple, first.tolist()))}"
+            )
         self.n = n
         self.edges = edges
         self.edges.setflags(write=False)
         self.masked = masked
-        self.masked_index = _canonical_pairs(list(masked))
+        self.masked_index = pairs[np.argsort(keys)]
         self.masked_index.setflags(write=False)
         self.node_ids = list(node_ids) if node_ids is not None else None
         self._adj = None
@@ -141,7 +147,8 @@ class Graph:
     def degrees(self):
         """Message-passing degrees: neighbor counts excluding self-loops."""
         if self._degrees is None:
-            self._degrees = np.array([len(a) for a in self.adjacency], dtype=np.int64)
+            nonself = self.edges[self.edges[:, 0] != self.edges[:, 1]]
+            self._degrees = np.bincount(nonself.reshape(-1), minlength=self.n)
         return self._degrees
 
     def degree_sum(self):
@@ -215,6 +222,13 @@ def serialize_labels(labels):
     return "\n".join(f"{i} {int(c)}" for i, c in enumerate(labels)) + "\n"
 
 
+def _ints(tokens, lineno):
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise EdgeListParseError(f"expected integers, found {' '.join(tokens)!r}", lineno) from None
+
+
 def parse_labels(text):
     entries = {}
     for lineno, raw in enumerate(str(text).splitlines(), start=1):
@@ -224,7 +238,10 @@ def parse_labels(text):
         tokens = line.split()
         if len(tokens) != 2:
             raise EdgeListParseError("expected 'node_id cluster_index'", lineno)
-        entries[int(tokens[0])] = int(tokens[1])
+        node, cluster = _ints(tokens, lineno)
+        if node < 0 or cluster < 0:
+            raise EdgeListParseError("node ids and cluster indices must be nonnegative", lineno)
+        entries[node] = cluster
     if not entries:
         raise EdgeListParseError("no labels")
     # ids must be exactly 0..len-1, so any gap shows below len(entries)
@@ -249,7 +266,11 @@ def parse_masked(text):
         tokens = line.split()
         if len(tokens) != 3:
             raise EdgeListParseError("expected 'i j observed_bit'", lineno)
-        i, j, bit = int(tokens[0]), int(tokens[1]), int(tokens[2])
+        i, j, bit = _ints(tokens, lineno)
+        if min(i, j) < 0:
+            raise EdgeListParseError(f"negative node id in pair ({i}, {j})", lineno)
+        if bit not in (0, 1):
+            raise EdgeListParseError(f"observed bit must be 0 or 1, found {bit}", lineno)
         masked[(min(i, j), max(i, j))] = bit
     return masked
 
@@ -353,6 +374,7 @@ def mask_pairs(graph, fraction, seed):
     Selects ceil(fraction * n*(n+1)/2) pairs without replacement from the
     full pair universe (edges and non-edges alike), records each pair's
     observed bit, and returns a Graph whose training views exclude them.
+    A drawn pair that the graph already holds out keeps its recorded bit.
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must lie in (0, 1)")
@@ -366,7 +388,12 @@ def mask_pairs(graph, fraction, seed):
     # pairs as flat keys i*n + j, one membership test each way
     held, edge_keys = i * n + j, graph.edges[:, 0] * n + graph.edges[:, 1]
     bits = np.isin(held, edge_keys).astype(np.int64)
+    # a pair masked before keeps its recorded bit: it is no training edge now
     masked = dict(graph.masked)
-    masked.update(zip(zip(i.tolist(), j.tolist()), bits.tolist()))
+    masked.update(
+        (pair, bit)
+        for pair, bit in zip(zip(i.tolist(), j.tolist()), bits.tolist())
+        if pair not in graph.masked
+    )
     keep = graph.edges[~np.isin(edge_keys, held)]
     return Graph(n, keep, masked=masked, node_ids=graph.node_ids)

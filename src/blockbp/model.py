@@ -215,15 +215,16 @@ def joint_log_likelihood(graph, labels, params):
     return edge_part + non_part + prop_part
 
 
-def pairwise_weight_matrices(graph, node_beliefs, edge_beliefs=None):
+def pairwise_weight_matrices(graph, node_beliefs, edge_belief_sum=None):
     """Aggregate belief weights multiplying log(pi) and log(1 - pi).
 
-    Edge pairs use the supplied pairwise beliefs (rows aligned with
-    graph.edges; self-loop rows are replaced internally by diag of the node
-    belief).  Non-edge pairs use products of node beliefs, evaluated in
-    closed form over the whole pair universe and corrected for edges and
-    masked pairs.  Returns (w_edge, w_non), both (K, K) with symmetric
-    bicluster conventions matching `bicluster_counts`.
+    Edge pairs take `edge_belief_sum`, the (K, K) sum of the pairwise
+    beliefs over the rows of graph.edges (a self-loop row holds diag of its
+    node belief), or, when it is None, products of node beliefs.  Non-edge
+    pairs use products of node beliefs, evaluated in closed form over the
+    whole pair universe and corrected for edges and masked pairs.  Returns
+    (w_edge, w_non), both (K, K) with symmetric bicluster conventions
+    matching `bicluster_counts`.
     """
     b = np.asarray(node_beliefs, dtype=np.float64)
     s = b.sum(axis=0)
@@ -232,23 +233,25 @@ def pairwise_weight_matrices(graph, node_beliefs, edge_beliefs=None):
     w_all += np.diag(s)
     # product-form weight of the edge pairs, which leave the non-edge total
     edge_mass = 0.5 * pair_mass(graph.edges, b, 1)
-    if edge_beliefs is None:
+    if edge_belief_sum is None:
         w_edge = edge_mass
     else:
-        pb = np.asarray(edge_beliefs, dtype=np.float64).sum(axis=0)
+        pb = np.asarray(edge_belief_sum, dtype=np.float64)
         w_edge = 0.5 * (pb + pb.T)
     w_non = w_all - edge_mass - 0.5 * pair_mass(graph.masked_index, b, 1)
     return w_edge, w_non
 
 
-def expected_joint_log_likelihood(graph, node_beliefs, params, edge_beliefs=None):
+def expected_joint_log_likelihood(graph, node_beliefs, params, edge_belief_sum=None):
     """Expectation of the joint log-likelihood under a belief factorization.
 
-    Connected pairs take pairwise edge beliefs; unconnected pairs take the
-    product of node beliefs (the same factorization the sparse external-field
-    message approximation assumes); proportions take node beliefs.
+    Connected pairs take pairwise edge beliefs, passed as their (K, K) sum
+    over the rows of graph.edges (see `pairwise_weight_matrices`);
+    unconnected pairs take the product of node beliefs (the same
+    factorization the sparse external-field message approximation assumes);
+    proportions take node beliefs.
     """
-    w_edge, w_non = pairwise_weight_matrices(graph, node_beliefs, edge_beliefs)
+    w_edge, w_non = pairwise_weight_matrices(graph, node_beliefs, edge_belief_sum)
     b = np.asarray(node_beliefs, dtype=np.float64)
     tol = 1e-14
     edge_part = _safe_log_terms(np.where(w_edge > tol, w_edge, 0.0), params.pi)

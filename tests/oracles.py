@@ -287,7 +287,8 @@ def pair_from_index_scalar(r, n):
 
 def mask_pairs_reference(graph, fraction, seed):
     """`graph.mask_pairs` pair by pair: decode each drawn index with the scalar
-    decoder in sorted order and look it up in the edge set."""
+    decoder in sorted order and look it up in the edge set; a pair the graph
+    already holds out keeps its recorded bit."""
     from blockbp import Graph
     from blockbp.graph import _sample_distinct_indices
 
@@ -297,6 +298,57 @@ def mask_pairs_reference(graph, fraction, seed):
     masked = dict(graph.masked)
     for r in sorted(idx.tolist()):
         i, j = pair_from_index_scalar(r, n)
-        masked[(i, j)] = 1 if (i, j) in graph.edge_set else 0
+        if (i, j) not in graph.masked:
+            masked[(i, j)] = 1 if (i, j) in graph.edge_set else 0
     keep = [(i, j) for i, j in graph.edges if (int(i), int(j)) not in masked]
     return Graph(n, keep, masked=masked, node_ids=graph.node_ids)
+
+
+def criterion_report_reference(graph, state, params):
+    """`criteria.criterion_report` through the (m, K, K) pairwise beliefs of
+    `state.edge_beliefs`: their sum weights the expected log-likelihood's
+    edges and their row entropies give the Bethe edge entropy."""
+    from blockbp.criteria import CriterionReport, ell_tilde, r1_tilde, r2_tilde
+    from blockbp.model import (
+        clamped,
+        expected_joint_log_likelihood,
+        hard_moments,
+        joint_log_likelihood,
+        m_step,
+    )
+
+    def row_entropies(p):
+        t = np.clip(p, 1e-300, None)
+        np.log(t, out=t)
+        t *= p
+        return -t.sum(axis=tuple(range(1, t.ndim)))
+
+    clamped_params = clamped(params)
+    eb = state.edge_beliefs(clamped_params)
+    b = state.node_belief
+    expected_ll = expected_joint_log_likelihood(graph, b, clamped_params, eb.sum(axis=0))
+    nonself = graph.edges[:, 0] != graph.edges[:, 1]
+    edge_part = float(row_entropies(eb)[nonself].sum()) if graph.m else 0.0
+    entropy = edge_part + float(((1.0 - graph.degrees) * row_entropies(b)).sum())
+
+    moments = state.moments()
+    n, k = graph.n, state.k_active
+    r1, r2, lt = r1_tilde(moments.zbar, n), r2_tilde(moments.zzbar, n), ell_tilde(n, k)
+    ffic = expected_ll - r1 - r2 - lt + entropy
+    fic = expected_ll - (k * (k + 1) / 2.0) * r1 - lt + entropy
+    labels = state.map_assignment()
+    ml_params, _ = m_step(hard_moments(graph, labels, k))
+    icl = joint_log_likelihood(graph, labels, ml_params) - lt
+    cicl = expected_ll + entropy - lt
+    return CriterionReport(
+        ffic_lb=float(ffic),
+        fic=float(fic),
+        icl=float(icl),
+        cicl=float(cicl),
+        entropy=float(entropy),
+        r1_tilde=float(r1),
+        r2_tilde=float(r2),
+        ell_tilde=float(lt),
+        entropy_negative=bool(entropy < 0),
+        degenerate=not all(map(math.isfinite, (ffic, fic, icl, cicl))),
+    )

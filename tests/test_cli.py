@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,36 @@ class TestEval:
         # the planted two-block structure is strong; a misaligned node-id
         # mapping would push this to ~0
         assert report["ari"] > 0.8
+
+
+    @pytest.mark.parametrize(
+        "masked, labels, message",
+        [
+            ("0 1 1\n-1 3 1\n", None, "line 2: negative node id"),
+            ("0 1 2\n", None, "line 1: observed bit must be 0 or 1"),
+            ("0 1 1\n3 80 0\n", None, r"masked pair \(3, 80\) outside the fit's nodes 0..79"),
+            ("0 1 1\n", "0 0\n1 -1\n", "line 2: node ids and cluster indices"),
+            ("0 1 1\n", "0 0\n1 1\n", "labels file covers nodes 0..1"),
+        ],
+    )
+    def test_bad_input_exits_one(self, generated, tmp_path, capsys, masked, labels, message):
+        fit_path = tmp_path / "fit.json"
+        run(["fit", "--input", str(generated), "--k-max", "2", "--seed", "0",
+             "--method", "f2ab", "--output", str(fit_path)])
+        masked_path = tmp_path / "bad.masked"
+        masked_path.write_text(masked)
+        argv = ["eval", "--fit", str(fit_path), "--masked", str(masked_path),
+                "--output", str(tmp_path / "report.json")]
+        if labels is not None:
+            labels_path = tmp_path / "bad.labels"
+            labels_path.write_text(labels)
+            argv += ["--labels", str(labels_path)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert re.search(message, err), err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestUsageErrors:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,19 +14,30 @@ from blockbp import (
     criterion_report,
     ell_tilde,
     exact_joint_marginal,
+    f2ab_fit,
     fabbp_run,
     ffic_lower_bound,
+    fixed_k_fit,
     generate_sbm,
     joint_log_likelihood,
     joint_marginal_laplace,
     m_step,
+    mask_pairs,
     parse_edge_list,
     r1_tilde,
     r2_tilde,
 )
 from blockbp.criteria import LOG_2PI, LOG_HALF
 from blockbp.model import Moments, hard_moments
-from oracles import Enumeration, dec_ell_tilde, dec_r1_tilde, dec_r2_tilde, masked_selfloop_graph
+from blockbp.evaluate import planted_four_params
+from oracles import (
+    Enumeration,
+    criterion_report_reference,
+    dec_ell_tilde,
+    dec_r1_tilde,
+    dec_r2_tilde,
+    masked_selfloop_graph,
+)
 
 
 class StateShim:
@@ -75,13 +88,17 @@ class StateShim:
             return self._pairs[(int(i), int(j))]
         return np.outer(self.node_belief[i], self.node_belief[j])
 
-    def map_assignment(self):
-        return np.argmax(self.node_belief, axis=1)
+
+def message_state(graph, beliefs, params):
+    """A BeliefState with these node beliefs and every message i->j equal to b_i."""
+    beliefs = np.asarray(beliefs, dtype=np.float64)
+    state = BeliefState(graph, beliefs.shape[1], np.random.default_rng(0))
+    state.start_from(beliefs, params)
+    return state
 
 
-def point_mass_state(graph, labels, k):
-    beliefs = np.eye(k)[np.asarray(labels, dtype=int)]
-    return StateShim(graph, beliefs)
+def point_mass_state(graph, labels, k, params):
+    return message_state(graph, np.eye(k)[np.asarray(labels, dtype=int)], params)
 
 
 def random_tree(n, rng):
@@ -198,8 +215,8 @@ class TestPenaltyTerms:
 class TestBetheEntropy:
     def test_point_mass_is_zero(self):
         g = parse_edge_list("0 1\n1 2")
-        state = point_mass_state(g, [0, 1, 0], 2)
         params = Params(np.array([0.5, 0.5]), np.full((2, 2), 0.4))
+        state = point_mass_state(g, [0, 1, 0], 2, params)
         assert bethe_entropy(g, state, params) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_isolated_node_uniform(self):
@@ -207,10 +224,17 @@ class TestBetheEntropy:
         # isolated third node: build a 3-node graph with one edge
         g = Graph(3, [(0, 1)])
         beliefs = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
-        state = point_mass_state(g, [0, 0, 0], 2)
-        state.node_belief = beliefs
         params = Params(np.array([0.5, 0.5]), np.full((2, 2), 0.4))
+        state = message_state(g, beliefs, params)
         assert bethe_entropy(g, state, params) == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_point_mass_on_hard_zero_affinity_is_zero(self):
+        # the messages put all weight on a pair of clusters whose affinity is
+        # exactly 0; read unclamped, that edge's normaliser would vanish
+        g = parse_edge_list("0 1\n1 2")
+        params = Params(np.array([0.5, 0.5]), np.array([[0.5, 0.0], [0.0, 0.5]]))
+        state = point_mass_state(g, [0, 1, 0], 2, params)
+        assert bethe_entropy(g, state, params) == pytest.approx(0.0, abs=1e-12)
 
     def test_tree_matches_enumeration(self):
         rng = np.random.default_rng(7)
@@ -234,8 +258,8 @@ class TestBetheEntropy:
 class TestCriterionValues:
     def test_ffic_single_cluster_reduction(self):
         g = parse_edge_list("0 1\n1 2\n2 3")
-        state = point_mass_state(g, [0, 0, 0, 0], 1)
         params, _ = m_step(hard_moments(g, np.zeros(4, dtype=int), 1))
+        state = point_mass_state(g, [0, 0, 0, 0], 1, params)
         value = ffic_lower_bound(g, state, params)
         moments = hard_moments(g, np.zeros(4, dtype=int), 1)
         expected = (
@@ -251,13 +275,13 @@ class TestCriterionValues:
         g, _ = generate_sbm(100, [1.0], np.array([[0.05]]), seed=4)
         labels1 = np.zeros(100, dtype=int)
         params1, _ = m_step(hard_moments(g, labels1, 1))
-        state1 = point_mass_state(g, labels1, 1)
+        state1 = point_mass_state(g, labels1, 1, params1)
         merged = ffic_lower_bound(g, state1, params1)
 
         labels2 = np.arange(100) % 2
         dens = params1.pi[0, 0]
         params2 = Params(np.array([0.5, 0.5]), np.full((2, 2), dens))
-        state2 = point_mass_state(g, labels2, 2)
+        state2 = point_mass_state(g, labels2, 2, params2)
         split = ffic_lower_bound(g, state2, params2)
         assert split < merged
 
@@ -272,7 +296,9 @@ class TestCriterionValues:
         from blockbp.model import expected_joint_log_likelihood
 
         value = (
-            expected_joint_log_likelihood(g, state.node_belief, eml, state.edge_beliefs(eml))
+            expected_joint_log_likelihood(
+                g, state.node_belief, eml, state.edge_beliefs(eml).sum(axis=0)
+            )
             - r1_tilde(moments.zbar, g.n)
             - r2_tilde(moments.zzbar, g.n)
             - ell_tilde(g.n, 2)
@@ -298,13 +324,13 @@ class TestCriterionValues:
         rng = np.random.default_rng(0)
         for k in (1, 3):
             beliefs = rng.dirichlet(np.ones(k), size=30)
-            state = StateShim(g, beliefs)
-            params, _ = m_step(state.moments())
+            params, _ = m_step(StateShim(g, beliefs).moments())
+            state = message_state(g, beliefs, params)
             value = criterion_report(g, state, params).fic
             from blockbp.model import expected_joint_log_likelihood
 
             eb = state.edge_beliefs(params)
-            expected_ll = expected_joint_log_likelihood(g, beliefs, params, eb)
+            expected_ll = expected_joint_log_likelihood(g, beliefs, params, eb.sum(axis=0))
             moments = state.moments()
             coeff = k * (k + 1) / 2
             manual = (
@@ -317,15 +343,15 @@ class TestCriterionValues:
 
     def test_icl_single_cluster(self):
         g = parse_edge_list("0 1\n1 2\n2 3")
-        state = point_mass_state(g, [0] * 4, 1)
         params, _ = m_step(hard_moments(g, np.zeros(4, dtype=int), 1))
+        state = point_mass_state(g, [0] * 4, 1, params)
         expected = joint_log_likelihood(g, np.zeros(4, dtype=int), params) - ell_tilde(4, 1)
         assert criterion_report(g, state, params).icl == pytest.approx(expected, abs=1e-12)
 
     def test_cicl_equals_icl_at_k1(self):
         g = parse_edge_list("0 1\n1 2\n2 3")
-        state = point_mass_state(g, [0] * 4, 1)
         params, _ = m_step(hard_moments(g, np.zeros(4, dtype=int), 1))
+        state = point_mass_state(g, [0] * 4, 1, params)
         report = criterion_report(g, state, params)
         assert report.cicl == pytest.approx(report.icl, abs=1e-10)
 
@@ -333,8 +359,7 @@ class TestCriterionValues:
         g, _ = generate_sbm(8, [0.5, 0.5], np.full((2, 2), 0.5), seed=12)
         params = Params(np.array([0.5, 0.5]), np.array([[0.6, 0.3], [0.3, 0.6]]))
         enum = Enumeration(g, params)
-        pairs = {(int(i), int(j)): enum.pair_marginal(i, j) for i, j in g.edges}
-        state = StateShim(g, enum.node_marginals, pairs)
+        state = message_state(g, enum.node_marginals, params)
         report = criterion_report(g, state, params)
         icl, cicl = report.icl, report.cicl
         entropy = bethe_entropy(g, state, params)
@@ -343,7 +368,7 @@ class TestCriterionValues:
         labels = state.map_assignment()
         ml, _ = m_step(hard_moments(g, labels, 2))
         soft_hard_gap = joint_log_likelihood(g, labels, ml) - expected_joint_log_likelihood(
-            g, state.node_belief, params, state.edge_beliefs(params)
+            g, state.node_belief, params, state.edge_beliefs(params).sum(axis=0)
         )
         # triangle sanity bound assembled from the computed components
         assert icl <= cicl + abs(entropy) + abs(soft_hard_gap) + 1e-9
@@ -354,12 +379,13 @@ class TestCriterionValues:
         g, _ = generate_sbm(40, [0.5, 0.5], np.full((2, 2), 0.2), seed=6)
         rng = np.random.default_rng(1)
         beliefs = rng.dirichlet([2, 2], size=40)
-        state = StateShim(g, beliefs)
-        params, _ = m_step(state.moments())
+        params, _ = m_step(StateShim(g, beliefs).moments())
+        state = message_state(g, beliefs, params)
         report = criterion_report(g, state, params)
 
         moments = state.moments()
-        expected_ll = expected_joint_log_likelihood(g, beliefs, params, state.edge_beliefs(params))
+        eb_sum = state.edge_beliefs(params).sum(axis=0)
+        expected_ll = expected_joint_log_likelihood(g, beliefs, params, eb_sum)
         entropy = bethe_entropy(g, state, params)
         r1, r2, lt = r1_tilde(moments.zbar, g.n), r2_tilde(moments.zzbar, g.n), ell_tilde(g.n, 2)
         labels = state.map_assignment()
@@ -388,6 +414,76 @@ class TestCriterionValues:
                 assert all(
                     math.isfinite(v) for v in (report.ffic_lb, report.fic, report.icl, report.cicl)
                 ), (seed, k)
+
+
+class TestCriteriaFromEdgeContraction:
+    """criterion_report reads one (m, K) edge contraction; the (m, K, K)
+    pairwise beliefs of BeliefState.edge_beliefs are the reference."""
+
+    @staticmethod
+    def assert_matches_reference(g, state, params):
+        got = criterion_report(g, state, params)
+        ref = criterion_report_reference(g, state, params)
+        for f in dataclasses.fields(ref):
+            a, b = getattr(got, f.name), getattr(ref, f.name)
+            if isinstance(b, bool):
+                assert a == b, f.name
+            else:
+                assert a == pytest.approx(b, rel=1e-12), f.name
+
+    @staticmethod
+    def swept_state(g, k, seed):
+        state = BeliefState(g, k, np.random.default_rng(seed))
+        params, _ = m_step(state.moments())
+        state.refresh_moments(params)
+        opts = BPOptions(penalty="none", prune=False, max_sweeps=3, tol_msg=0.0)
+        state, params, info = fabbp_run(g, params, state, opts, np.random.default_rng(seed + 1))
+        assert info["sweeps"] == 3
+        return state, m_step(state.moments())[0]
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("k", [20, 12, 4])
+    def test_matches_edge_belief_reference(self, masked, k):
+        for seed in (0, 1):
+            g, _ = generate_sbm(600, *planted_four_params(600), seed)
+            if masked:
+                g = mask_pairs(g, 0.04, seed + 100)
+            state, params = self.swept_state(g, k, seed)
+            self.assert_matches_reference(g, state, params)
+
+    def test_one_hot_messages(self):
+        # every message a point mass: the 0 log 0 terms of the edge entropy
+        g, _ = generate_sbm(600, *planted_four_params(600), 2)
+        g = mask_pairs(g, 0.04, 3)
+        state, params = self.swept_state(g, 20, 2)
+        labels = np.random.default_rng(4).integers(0, 20, size=state.messages.shape[0])
+        state.messages = np.eye(20)[labels]
+        self.assert_matches_reference(g, state, params)
+
+    def test_fit_drivers_never_build_edge_beliefs(self, monkeypatch):
+        def refuse(self, params):
+            raise AssertionError("edge_beliefs called on the fit path")
+
+        monkeypatch.setattr(BeliefState, "edge_beliefs", refuse)
+        g, _ = generate_sbm(200, *planted_four_params(200), 3)
+        g = mask_pairs(g, 0.04, 5)
+        assert f2ab_fit(g, 8, 0).selected_k >= 1
+        assert fixed_k_fit(g, 3, 0).selected_k == 3
+
+    def test_criteria_pass_memory_is_linear_in_edges(self):
+        # one (m, K, K) array is 57k x 20 x 20 x 8 B = 184 MB here; the
+        # contraction keeps a few (m, K) arrays of 9 MB alive at once
+        n, k = 20000, 20
+        g, _ = generate_sbm(n, *planted_four_params(n), 5)
+        state = BeliefState(g, k, np.random.default_rng(0))
+        params = Params(np.full(k, 1.0 / k), np.full((k, k), 5.0 / n))
+        tracemalloc.start()
+        try:
+            criterion_report(g, state, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6, peak / 1e6
 
 
 class TestExactJointMarginal:

@@ -168,6 +168,14 @@ class TestMaskPairs:
             assert np.array_equal(got.masked_index, want.masked_index)
 
 
+    def test_remasking_keeps_recorded_bits(self):
+        g = masked_selfloop_graph()
+        assert g.masked[(0, 3)] == 1
+        got = mask_pairs(g, 0.3, seed=2)
+        assert got.masked[(0, 3)] == 1  # drawn again; it read 0 when re-recorded
+        assert {p: got.masked[p] for p in g.masked} == g.masked
+
+
 class TestPairIndex:
     @pytest.mark.parametrize("n", [1, 2, 7, 600])
     def test_decodes_every_index_like_the_scalar_decoder(self, n):
@@ -201,6 +209,38 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_degrees_count_adjacency(self):
+        g = Graph(6, [(0, 1), (1, 2), (1, 1), (3, 3), (0, 2), (2, 4)])
+        want = [len(a) for a in g.adjacency]
+        assert g.degrees.tolist() == want == [2, 2, 3, 0, 1, 0]
+        assert g.degrees.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "masked, message",
+        [
+            ({(0, 2): 0, (1, 5): 0}, r"masked pair \(1, 5\) out of range or unordered"),
+            ({(2, 1): 0}, r"masked pair \(2, 1\) out of range or unordered"),
+            ({(-1, 2): 1}, r"masked pair \(-1, 2\) out of range or unordered"),
+            ({(0, 2): 2}, "masked observation must be 0 or 1"),
+            (
+                {(3, 4): 1, (0, 2): 0, (2, 3): 1, (0, 1): 1, (1, 2): 1},
+                r"masked pairs present in training edges: \[\(0, 1\), \(1, 2\), \(2, 3\)\]",
+            ),
+        ],
+    )
+    def test_masked_pairs_checked(self, masked, message):
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        with pytest.raises(ValueError, match=message):
+            Graph(5, edges, masked=masked)
+
+    def test_masked_index_sorted_in_any_dict_order(self):
+        masked = {(4, 4): 1, (0, 3): 0, (2, 4): 1, (0, 0): 0, (1, 3): 1}
+        g = Graph(5, [(0, 1)], masked=masked)
+        assert g.masked_index.tolist() == [list(p) for p in sorted(masked)]
+        assert g.masked_index.dtype == np.int64
+        assert not g.masked_index.flags.writeable
+        assert Graph(5, [(0, 1)]).masked_index.shape == (0, 2)
+
 
 class TestSerializationFormats:
     def test_labels_roundtrip(self):
@@ -210,6 +250,24 @@ class TestSerializationFormats:
     def test_labels_reject_gaps(self):
         with pytest.raises(EdgeListParseError, match="no label for node 1"):
             parse_labels("0 1\n2 0\n")
+
+    def test_labels_reject_negative_ids(self):
+        with pytest.raises(EdgeListParseError, match="line 2: node ids and cluster"):
+            parse_labels("0 1\n1 -1\n")
+        with pytest.raises(EdgeListParseError, match="line 1: expected integers"):
+            parse_labels("0 a\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1 1\n-1 3 1\n", r"line 2: negative node id in pair \(-1, 3\)"),
+            ("0 1 2\n", "line 1: observed bit must be 0 or 1, found 2"),
+            ("0 1 x\n", "line 1: expected integers"),
+        ],
+    )
+    def test_masked_rejects_bad_lines(self, text, message):
+        with pytest.raises(EdgeListParseError, match=message):
+            parse_masked(text)
 
     def test_masked_roundtrip(self):
         masked = {(0, 3): 1, (2, 2): 0}

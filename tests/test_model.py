@@ -120,7 +120,9 @@ class TestExpectedJointLogLikelihood:
                 for i, j in g.edges
             ]
         )
-        fast = expected_joint_log_likelihood(g, enum.node_marginals, params, edge_beliefs)
+        fast = expected_joint_log_likelihood(
+            g, enum.node_marginals, params, edge_beliefs.sum(axis=0)
+        )
         slow = expected_ll_bruteforce(g, enum.node_marginals, params, edge_beliefs)
         assert fast == pytest.approx(slow, abs=1e-8)
 
@@ -135,7 +137,8 @@ class TestExpectedJointLogLikelihood:
             self_rows = masked.edges[:, 0] == masked.edges[:, 1]
             edge_beliefs[self_rows] = beliefs[masked.edges[self_rows, 0], :, None] * np.eye(2)
             for eb in (None, edge_beliefs):
-                assert expected_joint_log_likelihood(masked, beliefs, params, eb) == pytest.approx(
+                eb_sum = None if eb is None else eb.sum(axis=0)
+                assert expected_joint_log_likelihood(masked, beliefs, params, eb_sum) == pytest.approx(
                     expected_ll_bruteforce(masked, beliefs, params, eb), abs=1e-9
                 )
 
