@@ -22,6 +22,7 @@ Penalty modes:
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -542,7 +543,15 @@ def _fit_driver(graph, k_init, seed, opts, method):
 
     ss = np.random.SeedSequence(seed)
     seed_spectral, seed_msg, seed_sweep = ss.spawn(3)
-    labels0, hard_params = spectral_init(graph, k_init, seed_spectral.generate_state(1)[0])
+    # a random-init fallback warns; keep it in the result as well, and pass
+    # every caught warning on to the caller's filters
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        labels0, hard_params = spectral_init(graph, k_init, seed_spectral.generate_state(1)[0])
+    for w in caught:
+        if issubclass(w.category, UserWarning):
+            fit_warnings.append(str(w.message))
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     state = BeliefState(graph, k_init, np.random.default_rng(seed_msg))
     if opts.penalty != "none":
         # penalized sweeps start from the spectral partition itself, not from

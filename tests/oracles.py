@@ -229,19 +229,12 @@ def per_node_sweep(state, params, order, damping, include_field=False, live_prio
     return msgs, beliefs
 
 
-def orthogonal_iteration_reference(op, n, k, rng):
-    """`spectral.orthogonal_iteration` with two sparse products per iteration:
-    one to step the subspace and one for the residual of the stepped q."""
-    from blockbp.spectral import EIG_MAX_ITERS, EIG_TOL
-
-    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    for _ in range(EIG_MAX_ITERS):
-        q, _ = np.linalg.qr(0.5 * (op @ q + q))
-        opq = op @ q
-        residual = float(np.max(np.abs(opq - q @ (q.T @ opq))))
-        if residual < EIG_TOL:
-            break
-    return q, residual
+def dense_top_subspace(op, k):
+    """The top-k eigenvectors of a symmetric operator and its (k+1)-th
+    largest eigenvalue, from a dense `np.linalg.eigh` of the whole matrix."""
+    dense = op.toarray() if hasattr(op, "toarray") else np.asarray(op)
+    w, v = np.linalg.eigh(dense)
+    return v[:, -k:], w[-k - 1]
 
 
 def kmeans_reference(x, k, rng):

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from blockbp import adjusted_rand_index, evaluate, generate_sbm, parse_edge_list, spectral_init
+from blockbp import Graph, adjusted_rand_index, evaluate, f2ab_fit, generate_sbm, parse_edge_list, spectral_init
 from blockbp import spectral
 from blockbp.spectral import EIG_TOL, _normalized_adjacency, kmeans, orthogonal_iteration
-from oracles import kmeans_reference, orthogonal_iteration_reference
+from oracles import dense_top_subspace, kmeans_reference
 
 
 def planted_operator(seed, n=600):
@@ -26,6 +28,66 @@ def two_cliques(size=25):
             for j in range(i + 1, size):
                 lines.append(f"{base + i} {base + j}")
     return parse_edge_list("\n".join(lines))
+
+
+def captured_signal(q, labels):
+    """||q^T U||_F^2 for U the column-normalized one-hot planted labels: the
+    planted signal a subspace holds, at most the number of planted blocks."""
+    u = np.eye(labels.max() + 1)[labels]
+    return float(np.linalg.norm(q.T @ (u / np.linalg.norm(u, axis=0))) ** 2)
+
+
+def assert_within_davis_kahan(op, q, k):
+    """Davis-Kahan: ||sin theta||_F <= ||op q - q ritz||_F / gap, where the gap
+    separates the Ritz values from the rest of op's spectrum; the projector
+    distance to the dense top-k eigenvectors is sqrt(2) ||sin theta||_F."""
+    top, next_eigenvalue = dense_top_subspace(op, k)
+    ritz = q.T @ (op @ q)
+    frob_residual = np.linalg.norm(op @ q - q @ ritz)
+    gap = np.linalg.eigvalsh(ritz).min() - next_eigenvalue
+    assert gap > 0
+    proj_gap = np.linalg.norm(q @ q.T - top @ top.T)
+    assert proj_gap <= np.sqrt(2) * frob_residual / gap
+
+
+@pytest.fixture
+def eig_runs(monkeypatch):
+    """The (q, residual) of every orthogonal_iteration call spectral_init makes."""
+    runs = []
+
+    def recorded(*args):
+        runs.append(orthogonal_iteration(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(spectral, "orthogonal_iteration", recorded)
+    return runs
+
+
+class FixedStart:
+    """Stands in for a Generator: the start block is the given matrix."""
+
+    def __init__(self, start):
+        self.start = np.asarray(start, dtype=np.float64)
+
+    def standard_normal(self, shape):
+        assert shape == self.start.shape
+        return self.start.copy()
+
+
+def complete_graph(n):
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+# graphs whose operator has repeated eigenvalues, a symmetric spectrum or a
+# null space, each with the cluster count spectral_init is asked for
+DEGENERATE_GRAPHS = {
+    "perfect_matching": (Graph(12, [(i, i + 1) for i in range(0, 12, 2)]), 3),
+    "complete": (complete_graph(8), 3),
+    "star": (Graph(9, [(0, i) for i in range(1, 9)]), 4),
+    "two_cliques": (two_cliques(5), 3),
+    "k_at_n_after_clamping": (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 8),
+    "isolated_and_selfloop_only": (Graph(9, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 4), (5, 5)]), 4),
+}
 
 
 class TestSpectralInit:
@@ -84,6 +146,39 @@ class TestSpectralInit:
             again, _ = spectral_init(g, 3, 4)
         assert np.array_equal(labels, again)
 
+    def test_random_fallback_recorded_in_fit_warnings(self, monkeypatch):
+        monkeypatch.setattr(spectral, "EIG_TOL", 0.0)
+        g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.1), seed=7)
+        with pytest.warns(UserWarning, match="did not converge"):
+            fit = f2ab_fit(g, 3, 0)
+        assert any("did not converge" in w for w in fit.warnings)
+
+    def test_planted_four_recovered_at_n_50000(self, eig_runs):
+        n = 50000
+        g, planted = generate_sbm(n, *evaluate.planted_four_params(n), seed=1)
+        labels, _ = spectral_init(g, 4, 0)
+        (q, residual), = eig_runs
+        assert residual < EIG_TOL
+        assert captured_signal(q, planted.labels) >= 2.9
+        assert adjusted_rand_index(labels, planted.labels) >= 0.85
+
+    @pytest.mark.parametrize("name", list(DEGENERATE_GRAPHS))
+    def test_degenerate_spectrum(self, name, eig_runs):
+        # finite orthonormal q and residual; the subspace is used when the
+        # residual is below EIG_TOL, and otherwise the warned fallback runs
+        g, k = DEGENERATE_GRAPHS[name]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            labels, params = spectral_init(g, k, 0)
+        (q, residual), = eig_runs
+        assert np.all(np.isfinite(q)) and np.isfinite(residual)
+        assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) < 1e-12
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        fell_back = [w for w in caught if "did not converge" in str(w.message)]
+        assert bool(fell_back) == (residual >= EIG_TOL)
+        assert labels.shape == (g.n,) and labels.min() >= 0 and labels.max() < k
+        assert np.all(np.isfinite(params.pi)) and np.all(np.isfinite(params.gamma))
+
 
 class TestOrthogonalIteration:
     def test_columns_orthonormal(self):
@@ -97,21 +192,10 @@ class TestOrthogonalIteration:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((40, 40))
         a = a + a.T
-        w, v = np.linalg.eigh(a)
-        op = a / np.abs(w).max()  # scale into [-1, 1] like a normalized adjacency
+        op = a / np.abs(np.linalg.eigvalsh(a)).max()  # scale into [-1, 1] like a normalized adjacency
         q, residual = orthogonal_iteration(op, 40, 3, rng)
         assert residual < EIG_TOL
-        # Davis-Kahan: ||sin theta||_F <= ||op q - q ritz||_F / gap, where the
-        # gap separates the Ritz values from the rest of op's spectrum; the
-        # projector distance is sqrt(2) ||sin theta||_F
-        ritz = q.T @ op @ q
-        frob_residual = np.linalg.norm(op @ q - q @ ritz)
-        lam = np.sort(np.linalg.eigvalsh(op))
-        gap = np.linalg.eigvalsh(ritz).min() - lam[-4]
-        assert gap > 0
-        top = v[:, np.argsort(w)[-3:]]
-        proj_gap = np.linalg.norm(q @ q.T - top @ top.T)
-        assert proj_gap <= np.sqrt(2) * frob_residual / gap
+        assert_within_davis_kahan(op, q, 3)
 
     @pytest.mark.parametrize("tol", [EIG_TOL, 0.0], ids=["stops_at_tol", "runs_to_cap"])
     def test_returns_residual_of_returned_subspace(self, tol, monkeypatch):
@@ -120,16 +204,49 @@ class TestOrthogonalIteration:
         g, _ = generate_sbm(n, *evaluate.planted_four_params(n), seed=3)
         op = _normalized_adjacency(g, float(g.degree_sum()) / n)
         q, residual = orthogonal_iteration(op, n, 20, np.random.default_rng(0))
+        # the columns are Ritz vectors, so each Rayleigh quotient is its Ritz
+        # value; the residual is the largest column 2-norm of op q - q diag(theta)
         opq = op @ q
-        assert residual == float(np.max(np.abs(opq - q @ (q.T @ opq))))
+        theta = np.einsum("ij,ij->j", q, opq)
+        assert np.max(np.abs(q.T @ opq - np.diag(theta))) < 1e-12
+        expected = float(np.linalg.norm(opq - q * theta, axis=0).max())
+        assert residual == pytest.approx(expected, rel=1e-9, abs=1e-13)
+        assert (residual < spectral.EIG_TOL) == (tol > 0)
 
-    def test_matches_two_product_reference(self):
-        # one sparse product per iteration, reused from the residual check
-        op = planted_operator(seed=4)
-        q, residual = orthogonal_iteration(op, 600, 20, np.random.default_rng(1))
-        q_ref, residual_ref = orthogonal_iteration_reference(op, 600, 20, np.random.default_rng(1))
-        assert np.array_equal(q, q_ref)
-        assert residual == residual_ref
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_matches_dense_top_subspace(self, seed):
+        # the planted four eigenvalues clear the bulk, so the Davis-Kahan gap
+        # is positive at k=4
+        op = planted_operator(seed)
+        q, residual = orthogonal_iteration(op, 600, 4, np.random.default_rng(1))
+        assert residual < EIG_TOL
+        assert_within_davis_kahan(op, q, 4)
+
+    def test_zero_width_damping_interval_stops_cleanly(self):
+        # the start block holds the eigenvector of -1 exactly, so the lowest
+        # Ritz value is -1 and there is no interval left to damp; the other
+        # column is not converged, and the iteration must stop without a step
+        op = np.diag([-1.0, 0.9, 0.8])
+        start = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, residual = orthogonal_iteration(op, 3, 2, FixedStart(start))
+        assert np.allclose(q.T @ q, np.eye(2))
+        # (e1 + e2)/sqrt(2) has Ritz value 0.85 and residual (0.05, -0.05)/sqrt(2)
+        assert residual == pytest.approx(0.05, rel=1e-9)
+
+    @pytest.mark.parametrize("name", list(DEGENERATE_GRAPHS))
+    def test_degenerate_spectrum(self, name):
+        g, k = DEGENERATE_GRAPHS[name]
+        k = min(k, g.n)
+        op = _normalized_adjacency(g, float(g.degree_sum()) / g.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, residual = orthogonal_iteration(op, g.n, k, np.random.default_rng(0))
+        assert q.shape == (g.n, k)
+        assert np.all(np.isfinite(q)) and np.isfinite(residual)
+        assert np.max(np.abs(q.T @ q - np.eye(k))) < 1e-12
+        assert residual < EIG_TOL
 
 
 class TestKmeans:
