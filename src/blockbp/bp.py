@@ -6,17 +6,23 @@ sweep.  Nodes of one class share no edge, so every message a class reads
 comes from other classes, and the whole class updates its beliefs and
 outgoing messages in a few array operations.  The incremental moment caches
 take one rank update per class (and are restored exactly at every sweep
-boundary); clusters whose expected proportion falls below 0.1/n are pruned
-after each class when enabled.  Unconnected-node factors are folded into a
-shared external field, keeping a sweep at O(m K^2).  The moment caches and
-the criteria read the pairwise edge beliefs only through one (m, K)
-contraction, `BeliefState.edge_contraction`; the (m, K, K) beliefs of
+boundary).  Unconnected-node factors are folded into a shared external
+field, keeping a sweep at O(m K^2).  The moment caches and the criteria read
+the pairwise edge beliefs only through one (m, K) contraction,
+`BeliefState.edge_contraction`; the (m, K, K) beliefs of
 `BeliefState.edge_beliefs` are kept as the tests' reference.
 
-Penalty modes:
-  "none"  plain sum-product messages,
-  "fab"   messages carry the smoothed cluster- and bicluster-size penalties,
-  "fic"   only the cluster-size penalty, scaled by K(K+1)/2.
+The fit method picks the penalty mode of its sweeps, and the mode sets
+everything about a sweep that is not a stopping value:
+  "none"  plain sum-product messages; the prior is log gamma, new messages
+          are mixed half and half with the old ones, and no cluster is
+          pruned (`fixed_k_fit`),
+  "fab"   messages carry the smoothed cluster- and bicluster-size penalties
+          (`f2ab_fit`),
+  "fic"   only the cluster-size penalty, scaled by K(K+1)/2 (`fic_bp_fit`).
+Both penalized modes read the live proportions h/n as their prior, replace
+each message outright, and prune a cluster after any colour class that
+leaves its expected proportion below 0.1/n.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .model import (
 )
 
 PRUNE_SCALE = 0.1  # prune cluster k when E[zbar_k] < PRUNE_SCALE / n
+PLAIN_DAMPING = 0.5  # share of the old message kept by a plain update
 
 
 class MessageUnderflowError(RuntimeError):
@@ -51,23 +58,33 @@ class MessageUnderflowError(RuntimeError):
 
 @dataclass
 class BPOptions:
-    """Knobs for a single fit run; defaults follow the reference procedure."""
+    """The stopping rule of a fit: the four `blockbp fit` stopping flags.
+
+    A sweep run stops once the mean absolute message change per edge is at
+    most tol_msg, or after max_sweeps sweeps; the alternation of sweep runs
+    and M-steps stops once the largest affinity change is at most tol_pi,
+    or after max_outer outer iterations (a zero tolerance stops at an exact
+    fixed point).  Everything else is set by the fit
+    method through its penalty mode: the penalized modes ("fab", "fic") read
+    the live proportions as their prior, are undamped and prune; the plain
+    mode ("none") reads gamma, is damped by PLAIN_DAMPING and never prunes.
+    Out-of-range values raise ValueError naming the field.
+    """
 
     tol_msg: float = 1e-2
     tol_pi: float = 1e-8
     max_sweeps: int = 500
     max_outer: int = 200
-    damping: float | None = None  # None -> 0.5 for plain sweeps, 0.0 for penalized
-    penalty: str = "fab"
-    live_prior: bool = True
-    prune: bool = True
-    include_field: bool = True
-    debug_checks: bool = False
 
-    def resolved_damping(self):
-        if self.damping is not None:
-            return self.damping
-        return 0.0 if self.penalty != "none" else 0.5
+    def __post_init__(self):
+        for name in ("tol_msg", "tol_pi"):
+            value = getattr(self, name)
+            if not value >= 0.0:  # NaN fails the comparison as well
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        for name in ("max_sweeps", "max_outer"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -349,30 +366,28 @@ def compute_penalty(state, node, mode="fab", lists=None):
 # -- sweeps ----------------------------------------------------------------------
 
 
-def _update_class(state, cls, params, opts):
+def _update_class(state, cls, params, penalty):
     """New beliefs and out-messages for every node of one colour class.
 
     The class shares no edge, so all the messages it reads come from other
     classes; h and zzbar_cache are read as they stood when the class
-    started and then take one rank update each.  Returns the summed
-    absolute message change.
+    started and then take one rank update each.  `penalty` is the sweep's
+    penalty mode (see the module docstring).  Returns the summed absolute
+    message change.
     """
     n, pi = state.n, params.pi
+    plain = penalty == "none"
     ids = cls.ids
     out = state.rev[ids]  # out-message i->j sits on the row of in-message j->i
     in_msgs = state.messages[ids]
     in_vals = in_msgs @ pi
     with np.errstate(divide="ignore"):
         log_in = np.log(in_vals)
-    if opts.penalty != "none" and opts.live_prior:
-        log_prior = np.log(np.clip(state.zbar_cache, EPS_P, None))
-    else:
-        log_prior = np.log(np.clip(params.gamma, EPS_P, None))
-    base = log_prior + cls.segment_sum(log_in)
-    if opts.include_field:
-        base += external_field(params, state.zbar_cache, n)
-    if opts.penalty != "none":
-        base -= compute_penalty(state, cls.nodes, opts.penalty, cls).lam
+    prior = params.gamma if plain else state.zbar_cache
+    base = np.log(np.clip(prior, EPS_P, None)) + cls.segment_sum(log_in)
+    base += external_field(params, state.zbar_cache, n)
+    if not plain:
+        base -= compute_penalty(state, cls.nodes, penalty, cls).lam
 
     # each finite row of weights peaks at 1; out-message i->j is node i's
     # weights without the factor of in-message j->i, so every such row sums
@@ -383,12 +398,8 @@ def _update_class(state, cls, params, opts):
     )
     new_belief = _normalize_rows(weights, lambda r: (int(cls.nodes[r]),) * 2)
     old_msgs = state.messages[out]
-    damping = opts.resolved_damping()
-    if damping > 0.0:
-        new_msgs = (1.0 - damping) * new_msgs + damping * old_msgs
-    if opts.debug_checks:
-        assert np.allclose(new_msgs.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(new_msgs >= 0)
+    if plain:
+        new_msgs = (1.0 - PLAIN_DAMPING) * new_msgs + PLAIN_DAMPING * old_msgs
     deltas = new_msgs - old_msgs
     u = pi * (deltas.T @ in_msgs) / n**2
     state.zzbar_cache += 0.5 * (u + u.T)
@@ -398,21 +409,24 @@ def _update_class(state, cls, params, opts):
     return float(np.abs(deltas).sum())
 
 
-def fabbp_run(graph, params, state, opts, rng=None):
+def fabbp_run(graph, params, state, opts, rng=None, penalty="fab"):
     """Run penalized (or plain) BP sweeps until the messages settle.
 
     Each sweep visits the colour classes of state.classes in an order drawn
     afresh from rng, updating all beliefs and outgoing messages of a class
     at once (nodes of a class share no edge, so the class update equals the
-    node-by-node one), maintaining incremental moment caches and pruning
-    low-mass clusters after each class when enabled.  The sweep reads the
-    affinities clamped into [EPS_P, 1 - EPS_P]; the returned params are the
-    given ones, sliced to the surviving clusters.  Stops when the summed
-    absolute message change per sweep, normalized by the edge count, drops
-    below opts.tol_msg or the sweep cap is reached; a capped run is flagged,
-    not an error.
+    node-by-node one) and maintaining incremental moment caches.  `penalty`
+    is the penalty mode: "fab" and "fic" prune low-mass clusters after each
+    class, "none" damps its messages and never prunes (see the module
+    docstring).  The sweep reads the affinities clamped into
+    [EPS_P, 1 - EPS_P]; the returned params are the given ones, sliced to
+    the surviving clusters.  Stops when the summed absolute message change
+    per sweep, normalized by the edge count, is at most opts.tol_msg or the
+    sweep cap is reached; a capped run is flagged, not an error.
     Returns (state, params, info).
     """
+    if penalty not in ("none", "fab", "fic"):
+        raise ValueError(f"unknown penalty mode {penalty!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     working = Params(
@@ -430,22 +444,22 @@ def fabbp_run(graph, params, state, opts, rng=None):
         sweeps += 1
         total_delta = 0.0
         for c in rng.permutation(len(state.classes)):
-            total_delta += _update_class(state, state.classes[c], sweep_params, opts)
-            if opts.prune and state.k_active > 1 and state.h.min() < PRUNE_SCALE:
+            total_delta += _update_class(state, state.classes[c], sweep_params, penalty)
+            if penalty != "none" and state.k_active > 1 and state.h.min() < PRUNE_SCALE:
                 working = state.prune_clusters(working)
                 sweep_params = clamped(working)
 
         drift = state.refresh_moments(sweep_params)
         state.drift_log.append(drift)
         mean_delta = total_delta / m_edges
-        if mean_delta < opts.tol_msg:
+        if mean_delta <= opts.tol_msg:
             converged = True
             break
         # stall guard for plain sweeps only: wandering messages (a
         # parameter-belief limit cycle on structureless data) would otherwise
         # burn the whole sweep budget; penalized sweeps legitimately spend
         # long plateaus collapsing redundant clusters
-        if opts.penalty == "none":
+        if penalty == "none":
             if mean_delta < 0.95 * best_delta:
                 best_delta = mean_delta
                 sweeps_since_best = 0
@@ -480,32 +494,6 @@ class FitResult:
     node_ids: list | None = None  # original tokens when parsed from an edge list
 
 
-def _trivial_fit(graph, seed, method, warning):
-    n = graph.n
-    params = Params(np.array([1.0]), np.array([[0.0]]))
-    beliefs = np.ones((n, 1))
-    state = BeliefState(graph, 1, np.random.default_rng(seed))
-    state.node_belief = beliefs
-    state.h = beliefs.sum(axis=0)
-    state.refresh_moments(params)
-    params, _ = m_step(state.moments())
-    report = criteria.criterion_report(graph, state, params)
-    return FitResult(
-        selected_k=1,
-        params=params,
-        node_marginals=beliefs,
-        map_assignment=np.zeros(n, dtype=np.int64),
-        converged=True,
-        trace=[],
-        criteria=report,
-        n=n,
-        seed=seed,
-        method=method,
-        warnings=[warning],
-        node_ids=graph.node_ids,
-    )
-
-
 def _soft_init(graph, labels, k, confidence=0.45):
     """Softened spectral responsibilities and their closed-form parameters.
 
@@ -530,14 +518,19 @@ def _soft_init(graph, labels, k, confidence=0.45):
     return params, b
 
 
-def _fit_driver(graph, k_init, seed, opts, method):
-    """Alternate BP sweeps with closed-form M-steps until the affinities settle."""
+def _fit_driver(graph, k_init, seed, opts, method, penalty):
+    """Alternate BP sweeps in the given penalty mode with closed-form M-steps
+    until the affinities settle."""
     from .spectral import spectral_init
 
-    if graph.m == 0:
-        return _trivial_fit(graph, seed, method, "graph has no edges; returning K=1 fit")
+    if k_init < 1:
+        raise ValueError(f"cluster count must be >= 1, got {k_init}")
+    opts = opts if opts is not None else BPOptions()
     fit_warnings = []
-    if k_init > graph.n:
+    if graph.m == 0:
+        fit_warnings.append("graph has no edges; returning K=1 fit")
+        k_init = 1
+    elif k_init > graph.n:
         fit_warnings.append(f"cluster count {k_init} exceeds n={graph.n}; clamped to {graph.n}")
         k_init = graph.n
 
@@ -553,7 +546,7 @@ def _fit_driver(graph, k_init, seed, opts, method):
             fit_warnings.append(str(w.message))
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     state = BeliefState(graph, k_init, np.random.default_rng(seed_msg))
-    if opts.penalty != "none":
+    if penalty != "none":
         # penalized sweeps start from the spectral partition itself, not from
         # the random draws: the soft responsibilities set beliefs and messages
         params, beliefs = _soft_init(graph, labels0, k_init)
@@ -568,7 +561,7 @@ def _fit_driver(graph, k_init, seed, opts, method):
     outers_since_best = 0
     for outer in range(opts.max_outer):
         k_before = state.k_active
-        state, params, info = fabbp_run(graph, params, state, opts, sweep_rng)
+        state, params, info = fabbp_run(graph, params, state, opts, sweep_rng, penalty)
         moments = state.moments()
         new_params, _ = m_step(moments)
         entry = {
@@ -585,22 +578,19 @@ def _fit_driver(graph, k_init, seed, opts, method):
         entry["criterion"] = criteria.ffic_lower_bound(graph, state, new_params)
         trace.append(entry)
         params = new_params
-        if delta_pi is not None and delta_pi < opts.tol_pi:
+        if delta_pi is not None and delta_pi <= opts.tol_pi:
             converged = True
             break
-        # stall guard mirroring the sweep-level one, on the affinity deltas
-        if opts.penalty == "none":
-            if delta_pi is not None:
-                if delta_pi < 0.9 * best_dpi:
-                    best_dpi = delta_pi
-                    outers_since_best = 0
-                else:
-                    outers_since_best += 1
-                    if outers_since_best >= 12:
-                        break
-            else:
-                best_dpi = np.inf
+        # stall guard mirroring the sweep-level one, on the affinity deltas;
+        # plain sweeps never prune, so delta_pi is always set here
+        if penalty == "none":
+            if delta_pi < 0.9 * best_dpi:
+                best_dpi = delta_pi
                 outers_since_best = 0
+            else:
+                outers_since_best += 1
+                if outers_since_best >= 12:
+                    break
 
     report = criteria.criterion_report(graph, state, params)
     return FitResult(
@@ -619,32 +609,19 @@ def _fit_driver(graph, k_init, seed, opts, method):
     )
 
 
-def _with_mode(opts, penalty, prune):
-    opts = BPOptions(**vars(opts)) if opts is not None else BPOptions()
-    opts.penalty = penalty
-    opts.prune = prune
-    return opts
-
-
 def f2ab_fit(graph, k_max, seed, opts=None):
     """One-pass fit: start at k_max, let the penalties prune redundant clusters."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    return _fit_driver(graph, k_max, seed, _with_mode(opts, "fab", True), "f2ab")
+    return _fit_driver(graph, k_max, seed, opts, "f2ab", "fab")
 
 
 def fic_bp_fit(graph, k_max, seed, opts=None):
     """One-pass fit with the cluster-size-only penalty scaled by K(K+1)/2."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    return _fit_driver(graph, k_max, seed, _with_mode(opts, "fic", True), "fic-bp")
+    return _fit_driver(graph, k_max, seed, opts, "fic-bp", "fic")
 
 
 def fixed_k_fit(graph, k, seed, opts=None):
     """Plain BP/EM fit at a fixed cluster count (no penalties, no pruning)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _fit_driver(graph, k, seed, _with_mode(opts, "none", False), "fixed-k")
+    return _fit_driver(graph, k, seed, opts, "fixed-k", "none")
 
 
 # -- serialization -------------------------------------------------------------

@@ -111,15 +111,16 @@ def _cmd_generate(args):
 
 def _cmd_fit(args):
     graph = parse_edge_list(_read(args.input))
-    if args.mask_fraction > 0.0:
-        graph = mask_pairs(graph, args.mask_fraction, args.seed)
-        _atomic_write(f"{args.output}.masked", serialize_masked(graph.masked))
     opts = bp.BPOptions(
         tol_msg=args.tol_msg,
         tol_pi=args.tol_pi,
         max_sweeps=args.max_sweeps,
         max_outer=args.max_outer,
     )
+    # a negative fraction goes to mask_pairs too, which rejects it
+    if args.mask_fraction != 0.0:
+        graph = mask_pairs(graph, args.mask_fraction, args.seed)
+        _atomic_write(f"{args.output}.masked", serialize_masked(graph.masked))
     start = time.perf_counter()
     fit = evaluate.fit_with_method(graph, args.method, args.k_max, args.seed, opts=opts)
     seconds = time.perf_counter() - start

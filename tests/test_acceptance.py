@@ -223,7 +223,9 @@ def test_criterion_4_hessian_blocks_match_finite_differences():
     )
 
 
-def test_criterion_5_bp_exact_on_trees():
+def test_criterion_5_bp_exact_on_trees(monkeypatch):
+    # edges-only model: no external field
+    monkeypatch.setattr("blockbp.bp.external_field", lambda params, zbar, n: 0.0)
     rng = np.random.default_rng(31)
     worst_marginal = 0.0
     worst_entropy = 0.0
@@ -235,11 +237,9 @@ def test_criterion_5_bp_exact_on_trees():
         pi = rng.uniform(0.2, 0.8, (2, 2))
         pi = (pi + pi.T) / 2
         params = Params(gamma, pi)
-        opts = BPOptions(
-            penalty="none", prune=False, include_field=False, tol_msg=1e-13, max_sweeps=500
-        )
+        opts = BPOptions(tol_msg=1e-13, max_sweeps=500)
         state = BeliefState(g, 2, np.random.default_rng(trial))
-        state, _, info = fabbp_run(g, params, state, opts, np.random.default_rng(trial + 1))
+        state, _, info = fabbp_run(g, params, state, opts, np.random.default_rng(trial + 1), "none")
         enum = Enumeration(g, params, include_nonedges=False)
         worst_marginal = max(worst_marginal, float(np.max(np.abs(state.node_belief - enum.node_marginals))))
         worst_entropy = max(
@@ -312,13 +312,13 @@ def test_criterion_8_sweep_time_linear_in_edges():
         g, _ = generate_sbm(n, np.full(4, 0.25), pi, seed)
         state = BeliefState(g, 8, np.random.default_rng(seed))
         params = Params(np.full(8, 1 / 8), np.full((8, 8), g.m / g.num_pairs))
-        opts = BPOptions(max_sweeps=1, penalty="fab", prune=False, tol_msg=0.0)
+        opts = BPOptions(max_sweeps=1, tol_msg=0.0)
         rng = np.random.default_rng(seed + 1)
-        fabbp_run(g, params, state, opts, rng)  # warm-up, not timed
+        fabbp_run(g, params, state, opts, rng, "fab")  # warm-up, not timed
 
         def sweep():
             t0 = time.perf_counter()
-            fabbp_run(g, params, state, opts, rng)
+            fabbp_run(g, params, state, opts, rng, "fab")
             return time.perf_counter() - t0
 
         return g.m, sweep

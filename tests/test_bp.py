@@ -51,9 +51,9 @@ def isolated_selfloop_graph():
     return Graph(10, edges)
 
 
-def one_sweep(graph, params, state, **opts):
-    opts = BPOptions(max_sweeps=1, tol_msg=0.0, prune=False, **opts)
-    return fabbp_run(graph, params, state, opts, np.random.default_rng(0))
+def one_sweep(graph, params, state, penalty):
+    opts = BPOptions(max_sweeps=1, tol_msg=0.0)
+    return fabbp_run(graph, params, state, opts, np.random.default_rng(0), penalty)
 
 
 def constant_penalty(lam):
@@ -61,6 +61,33 @@ def constant_penalty(lam):
     return lambda state, nodes, mode, lists=None: PenaltyTerms(
         np.tile(lam, (len(nodes), 1)), None, None
     )
+
+
+def no_field(params, zbar, n):
+    """external_field stand-in for the edges-only model."""
+    return 0.0
+
+
+class TestBPOptions:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("tol_msg", -1e-3),
+            ("tol_msg", float("nan")),
+            ("tol_pi", -1e-12),
+            ("tol_pi", float("nan")),
+            ("max_sweeps", 0),
+            ("max_sweeps", -3),
+            ("max_outer", 0),
+        ],
+    )
+    def test_rejects_out_of_range_stopping_value(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            BPOptions(**{name: value})
+
+    def test_accepts_the_boundary_values(self):
+        opts = BPOptions(tol_msg=0.0, tol_pi=0.0, max_sweeps=1, max_outer=1)
+        assert (opts.tol_msg, opts.tol_pi, opts.max_sweeps, opts.max_outer) == (0.0, 0.0, 1, 1)
 
 
 class TestExternalField:
@@ -98,23 +125,27 @@ class TestMessageUpdates:
     def test_degree_one_node_ignores_absent_neighbors(self, monkeypatch):
         # nodes 0 and 2 of the path have degree 1 and share a colour class:
         # their only out-message carries the prior and the field alone,
-        # whatever the message into them holds, and the field of both reads
-        # h as it stood when their class started
+        # whatever the message into them holds.  Under a zero penalty the
+        # undamped penalized update sets it to exactly the live prior h/n
+        # times the field, both read from h as it stood when their class
+        # started
         g = path_graph(3)
         params = Params(np.array([0.7, 0.3]), np.array([[0.5, 0.1], [0.1, 0.4]]))
         state = fresh_state(g, 2, seed=3)
         h_at_class_start = {}
         update_class = bp._update_class
 
-        def recording(state, cls, params, opts):
+        def recording(state, cls, params, penalty):
             h_at_class_start.update({int(v): state.h.copy() for v in cls.nodes})
-            return update_class(state, cls, params, opts)
+            return update_class(state, cls, params, penalty)
 
         monkeypatch.setattr(bp, "_update_class", recording)
-        one_sweep(g, params, state, penalty="none", damping=0.0)
+        monkeypatch.setattr(bp, "compute_penalty", constant_penalty(np.zeros(2)))
+        one_sweep(g, params, state, penalty="fab")
         for end in (0, 2):
             leaf_to_centre = np.flatnonzero((state.src == end) & (state.dst == 1))[0]
-            expected = params.gamma * np.exp(-params.pi @ h_at_class_start[end])
+            h = h_at_class_start[end]
+            expected = (h / g.n) * np.exp(-params.pi @ h)
             assert state.messages[leaf_to_centre] == pytest.approx(
                 expected / expected.sum(), abs=1e-12
             )
@@ -122,13 +153,15 @@ class TestMessageUpdates:
     def test_constant_penalty_shift_is_invisible(self, monkeypatch):
         g = path_graph(5)
         params = Params(np.array([0.6, 0.4]), np.array([[0.4, 0.1], [0.1, 0.5]]))
-        plain = fresh_state(g, 2, seed=1)
-        one_sweep(g, params, plain, penalty="none", damping=0.0)
-        shifted = fresh_state(g, 2, seed=1)
-        monkeypatch.setattr(bp, "compute_penalty", constant_penalty(np.array([3.7, 3.7])))
-        one_sweep(g, params, shifted, penalty="fab", live_prior=False)
-        assert shifted.messages == pytest.approx(plain.messages, abs=1e-12)
-        assert shifted.node_belief == pytest.approx(plain.node_belief, abs=1e-12)
+        runs = []
+        for lam in (np.zeros(2), np.array([3.7, 3.7])):
+            state = fresh_state(g, 2, seed=1)
+            monkeypatch.setattr(bp, "compute_penalty", constant_penalty(lam))
+            one_sweep(g, params, state, penalty="fab")
+            runs.append(state)
+        unpenalized, shifted = runs
+        assert shifted.messages == pytest.approx(unpenalized.messages, abs=1e-12)
+        assert shifted.node_belief == pytest.approx(unpenalized.node_belief, abs=1e-12)
 
     def test_larger_penalty_shrinks_that_component(self, monkeypatch):
         g = path_graph(5)
@@ -137,7 +170,7 @@ class TestMessageUpdates:
         for lam in (np.zeros(2), np.array([0.8, 0.0])):
             state = fresh_state(g, 2, seed=2)
             monkeypatch.setattr(bp, "compute_penalty", constant_penalty(lam))
-            one_sweep(g, params, state, penalty="fab", live_prior=False, include_field=False)
+            one_sweep(g, params, state, penalty="fab")
             runs.append(state)
         base, penalized = runs
         assert np.all(penalized.messages[:, 0] < base.messages[:, 0])
@@ -154,15 +187,14 @@ class TestMessageUpdates:
         assert {i, j} == {0, 1}
         assert str(caught.value) == f"message underflow on edge {i}->{j}"
 
-    def test_tree_marginals_match_enumeration(self):
+    def test_tree_marginals_match_enumeration(self, monkeypatch):
         # edges-only model: sum-product on a tree is exact
+        monkeypatch.setattr(bp, "external_field", no_field)
         g = path_graph(3)
         params = Params(np.array([0.6, 0.4]), np.array([[0.7, 0.2], [0.2, 0.5]]))
-        opts = BPOptions(
-            penalty="none", prune=False, include_field=False, tol_msg=1e-13, max_sweeps=300
-        )
+        opts = BPOptions(tol_msg=1e-13, max_sweeps=300)
         state = fresh_state(g, 2, seed=5)
-        state, _, info = fabbp_run(g, params, state, opts, np.random.default_rng(6))
+        state, _, info = fabbp_run(g, params, state, opts, np.random.default_rng(6), "none")
         enum = Enumeration(g, params, include_nonedges=False)
         assert np.max(np.abs(state.node_belief - enum.node_marginals)) < 1e-8
 
@@ -196,26 +228,22 @@ class TestColourClasses:
         assert rng.uniform() == reference.uniform()
 
     @pytest.mark.parametrize("include_field", [False, True])
-    @pytest.mark.parametrize("live_prior", [False, True])
-    def test_class_sweep_matches_per_node_reference(self, include_field, live_prior, monkeypatch):
+    @pytest.mark.parametrize("penalized", [False, True])
+    def test_class_sweep_matches_per_node_reference(self, include_field, penalized, monkeypatch):
+        # plain sweeps: the gamma prior, damped by a half; penalized sweeps
+        # with a zero penalty: the live prior, undamped
         g = isolated_selfloop_graph()
         pi = np.array([[0.6, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.7]])
         params = Params(np.array([0.5, 0.3, 0.2]), pi)
         state = fresh_state(g, 3, seed=4)
         order = np.random.default_rng(7).permutation(len(state.classes))
-        msgs, beliefs = per_node_sweep(state, params, order, 0.5, include_field, live_prior)
-        # the live prior belongs to penalized sweeps; a zero penalty leaves it alone
+        damping = 0.0 if penalized else bp.PLAIN_DAMPING
+        msgs, beliefs = per_node_sweep(state, params, order, damping, include_field, penalized)
         monkeypatch.setattr(bp, "compute_penalty", constant_penalty(np.zeros(3)))
-        opts = BPOptions(
-            penalty="fab" if live_prior else "none",
-            live_prior=live_prior,
-            include_field=include_field,
-            damping=0.5,
-            prune=False,
-            max_sweeps=1,
-            tol_msg=0.0,
-        )
-        fabbp_run(g, params, state, opts, np.random.default_rng(7))
+        if not include_field:
+            monkeypatch.setattr(bp, "external_field", no_field)
+        opts = BPOptions(max_sweeps=1, tol_msg=0.0)
+        fabbp_run(g, params, state, opts, np.random.default_rng(7), "fab" if penalized else "none")
         assert np.max(np.abs(state.messages - msgs)) < 1e-12
         assert np.max(np.abs(state.node_belief - beliefs)) < 1e-12
 
@@ -327,8 +355,10 @@ class TestFabbpRun:
         assert info["sweeps"] <= 2 and info["converged"]
         assert state.zbar_cache == pytest.approx([1.0])
 
-    def test_spurious_cluster_mass_shrinks_over_sweeps(self):
-        # planted two blocks, four initial clusters: redundant mass decays
+    def test_spurious_cluster_mass_shrinks_over_sweeps(self, monkeypatch):
+        # planted two blocks, four initial clusters: redundant mass decays;
+        # pruning stays off, so both masses are of the same two clusters
+        monkeypatch.setattr(bp, "PRUNE_SCALE", 0.0)
         n = 200
         pi = np.array([[30 / n, 1 / n], [1 / n, 30 / n]])
         g, planted = generate_sbm(n, [0.5, 0.5], pi, seed=3)
@@ -337,10 +367,10 @@ class TestFabbpRun:
         labels4 = planted.labels * 2 + (np.arange(n) % 2)  # 4-way split of 2 blocks
         params, _ = _soft_init(g, labels4, 4)
         state = fresh_state(g, 4, seed=7)
-        opts = BPOptions(tol_msg=0.0, max_sweeps=5, prune=False)
+        opts = BPOptions(tol_msg=0.0, max_sweeps=5)
         state, _, _ = fabbp_run(g, params, state, opts, np.random.default_rng(8))
         mass_at_5 = np.sort(state.h)[:2].sum()  # two smallest clusters
-        opts = BPOptions(tol_msg=0.0, max_sweeps=15, prune=False)
+        opts = BPOptions(tol_msg=0.0, max_sweeps=15)
         state, _, _ = fabbp_run(g, params, state, opts, np.random.default_rng(9))
         mass_at_20 = np.sort(state.h)[:2].sum()
         assert mass_at_20 < mass_at_5
@@ -372,16 +402,27 @@ class TestFabbpRun:
         g, _ = generate_sbm(150, [0.5, 0.5], np.full((2, 2), 0.08), seed=5)
         params = Params(np.array([0.5, 0.5]), np.full((2, 2), 0.08))
         state = fresh_state(g, 2, seed=6)
-        opts = BPOptions(tol_msg=0.0, max_sweeps=10, prune=False)
+        opts = BPOptions(tol_msg=0.0, max_sweeps=10)
         state, _, _ = fabbp_run(g, params, state, opts, np.random.default_rng(7))
         assert max(state.drift_log) < 1e-6
 
-    def test_debug_checks_accept_valid_run(self):
+    def test_rejects_unknown_penalty_mode(self):
+        g = path_graph(4)
+        params = Params(np.array([0.5, 0.5]), np.full((2, 2), 0.3))
+        with pytest.raises(ValueError, match="unknown penalty mode 'FAB'"):
+            fabbp_run(g, params, fresh_state(g, 2), BPOptions(), None, "FAB")
+
+    def test_messages_stay_normalized(self):
+        # one damped plain sweep, then one undamped penalized sweep
         g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.1), seed=8)
         params = Params(np.array([0.5, 0.5]), np.full((2, 2), 0.1))
         state = fresh_state(g, 2, seed=9)
-        opts = BPOptions(max_sweeps=5, debug_checks=True)
-        fabbp_run(g, params, state, opts, np.random.default_rng(10))
+        opts = BPOptions(max_sweeps=1, tol_msg=0.0)
+        for penalty in ("none", "fab"):
+            state, _, info = fabbp_run(g, params, state, opts, np.random.default_rng(10), penalty)
+            assert info["sweeps"] == 1
+            assert np.all(state.messages >= 0.0)
+            assert np.max(np.abs(state.messages.sum(axis=1) - 1.0)) <= 1e-9
 
 
 class TestFitDrivers:
@@ -418,9 +459,31 @@ class TestFitDrivers:
 
     def test_empty_graph_returns_trivial_fit(self):
         g = Graph(5, [])
-        fit = f2ab_fit(g, k_max=4, seed=0)
-        assert fit.selected_k == 1
-        assert fit.warnings and "no edges" in fit.warnings[0]
+        for fit_method in (f2ab_fit, fic_bp_fit, fixed_k_fit):
+            fit = fit_method(g, 3, 0)
+            assert fit.selected_k == 1 and fit.params.k == 1
+            assert fit.warnings[0] == "graph has no edges; returning K=1 fit"
+            assert np.array_equal(fit.node_marginals, np.ones((5, 1)))
+            report = fit.criteria
+            assert not report.degenerate
+            for value in (report.ffic_lb, report.fic, report.icl, report.cicl):
+                assert np.isfinite(value)
+
+    def test_zero_tolerances_stop_at_an_exact_fixed_point(self):
+        # every message of an edgeless or one-cluster fit is fixed after one
+        # sweep, and the affinities after at most two M-steps
+        opts = BPOptions(tol_msg=0.0, tol_pi=0.0)
+        g, _ = generate_sbm(40, [1.0], np.array([[0.2]]), seed=1)
+        for graph, k in ((Graph(5, []), 3), (g, 1)):
+            for fit_method in (f2ab_fit, fic_bp_fit, fixed_k_fit):
+                fit = fit_method(graph, k, 0, opts)
+                assert fit.converged
+                assert [entry["sweeps"] for entry in fit.trace] in ([1], [1, 1])
+
+    @pytest.mark.parametrize("fit_method", [f2ab_fit, fic_bp_fit, fixed_k_fit])
+    def test_rejects_cluster_count_below_one(self, fit_method):
+        with pytest.raises(ValueError, match="cluster count must be >= 1"):
+            fit_method(two_cliques(3), 0, 0)
 
     def test_k_active_never_increases(self):
         n = 300

@@ -72,6 +72,32 @@ class TestFit:
             i, j, bit = line.split()
             assert bit in ("0", "1")
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-sweeps", "-3"), ("--max-sweeps", "0"), ("--max-outer", "0"),
+         ("--tol-msg", "-0.1"), ("--tol-pi", "nan")],
+    )
+    def test_out_of_range_stopping_value_exits_one(
+        self, generated, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "fit.json"
+        code = run(["fit", "--input", str(generated), "--k-max", "4", "--seed", "0",
+                    "--output", str(out), "--mask-fraction", "0.01", flag, value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "g.txt.labels"]
+
+    @pytest.mark.parametrize("fraction", ["-0.2", "1.5"])
+    def test_mask_fraction_outside_unit_interval_exits_one(
+        self, generated, tmp_path, capsys, fraction
+    ):
+        out = tmp_path / "fit.json"
+        code = run(["fit", "--input", str(generated), "--k-max", "2", "--seed", "0",
+                    "--output", str(out), "--mask-fraction", fraction])
+        assert code == 1
+        assert "fraction must lie in (0, 1)" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "g.txt.labels"]
+
     def test_missing_input_exits_two(self, tmp_path):
         code = run(["fit", "--input", str(tmp_path / "nope.txt"),
                     "--output", str(tmp_path / "o.json")])

@@ -236,7 +236,9 @@ class TestBetheEntropy:
         state = point_mass_state(g, [0, 1, 0], 2, params)
         assert bethe_entropy(g, state, params) == pytest.approx(0.0, abs=1e-12)
 
-    def test_tree_matches_enumeration(self):
+    def test_tree_matches_enumeration(self, monkeypatch):
+        # edges-only model: no external field
+        monkeypatch.setattr("blockbp.bp.external_field", lambda params, zbar, n: 0.0)
         rng = np.random.default_rng(7)
         for trial in range(3):
             n = int(rng.integers(5, 11))
@@ -245,11 +247,11 @@ class TestBetheEntropy:
                 np.array([0.6, 0.4]),
                 np.array([[0.7, 0.25], [0.25, 0.55]]),
             )
-            opts = BPOptions(
-                penalty="none", prune=False, include_field=False, tol_msg=1e-13, max_sweeps=500
-            )
+            opts = BPOptions(tol_msg=1e-13, max_sweeps=500)
             state = BeliefState(g, 2, np.random.default_rng(trial))
-            state, pw, info = fabbp_run(g, params, state, opts, np.random.default_rng(trial + 1))
+            state, pw, info = fabbp_run(
+                g, params, state, opts, np.random.default_rng(trial + 1), "none"
+            )
             enum = Enumeration(g, params, include_nonedges=False)
             assert np.max(np.abs(state.node_belief - enum.node_marginals)) < 1e-8
             assert bethe_entropy(g, state, params) == pytest.approx(enum.entropy(), abs=1e-8)
@@ -436,8 +438,10 @@ class TestCriteriaFromEdgeContraction:
         state = BeliefState(g, k, np.random.default_rng(seed))
         params, _ = m_step(state.moments())
         state.refresh_moments(params)
-        opts = BPOptions(penalty="none", prune=False, max_sweeps=3, tol_msg=0.0)
-        state, params, info = fabbp_run(g, params, state, opts, np.random.default_rng(seed + 1))
+        opts = BPOptions(max_sweeps=3, tol_msg=0.0)
+        state, params, info = fabbp_run(
+            g, params, state, opts, np.random.default_rng(seed + 1), "none"
+        )
         assert info["sweeps"] == 3
         return state, m_step(state.moments())[0]
 
