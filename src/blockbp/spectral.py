@@ -11,9 +11,15 @@ rule: the largest column 2-norm of the Ritz residual op q - q diag(theta)
 falls below EIG_TOL (the columns have unit norm, so the rule does not
 depend on n), or EIG_MAX_ITERS filtered steps pass.  A subspace that stops
 above EIG_TOL is not used, and the labels are drawn at random.  Otherwise
-the row-normalized embedding is clustered by k-means with k-means++ seeding,
-best of KMEANS_RESTARTS restarts; a Lloyd step is one GEMM for the distances
-||c||^2 - 2 x c^T and one for the centroid sums onehot^T x.
+k-means clusters the Ritz vectors whose Ritz value theta clears the bulk
+edge of the operator, theta sqrt(tau) > 1: for D_tau^{-1/2} A D_tau^{-1/2}
+at mean degree c = tau the bulk ends near 2 sqrt(c) / (c + tau) = 1/sqrt(tau),
+and the columns below it are noise to k-means (Krzakala et al., PNAS 2013;
+Le, Levina & Vershynin, 2017).  When fewer than two columns clear the edge,
+all columns are clustered.  The row-normalized embedding goes to k-means
+with k-means++ seeding, best of KMEANS_RESTARTS restarts; a Lloyd step is
+one GEMM for the distances ||c||^2 - 2 x c^T and one for the centroid sums
+onehot^T x.
 """
 
 from __future__ import annotations
@@ -138,7 +144,9 @@ def spectral_init(graph, k, seed):
     """Spectral hard assignment and the matching closed-form parameters.
 
     Returns (labels, params) where params come from the M-step on the hard
-    assignment's sufficient statistics.  Labels are drawn at random when
+    assignment's sufficient statistics.  k-means clusters the rows of the
+    Ritz vectors above the bulk edge (all of them when fewer than two clear
+    it; see the module docstring).  Labels are drawn at random when
     the graph has no edges, or (with a warning) when the eigen-iteration
     stops above EIG_TOL.
     """
@@ -150,11 +158,16 @@ def spectral_init(graph, k, seed):
     if k == 1:
         labels = np.zeros(n, dtype=np.int64)
     elif graph.m:
-        op = _normalized_adjacency(graph, float(graph.degree_sum()) / n)
+        tau = float(graph.degree_sum()) / n
+        op = _normalized_adjacency(graph, tau)
         q, residual = orthogonal_iteration(op, n, min(k, n), rng)
         if residual < EIG_TOL:
-            if q.shape[1] < k:
-                q = np.pad(q, ((0, 0), (0, k - q.shape[1])))
+            # the Ritz values above the bulk edge 1/sqrt(tau), in a form
+            # without the division, as a graph of self-loops only has tau = 0
+            theta = np.einsum("ij,ij->j", q, op @ q)
+            above = theta * np.sqrt(tau) > 1.0
+            if above.sum() >= 2:
+                q = q[:, above]
             embedding = q / np.clip(np.linalg.norm(q, axis=1, keepdims=True), 1e-12, None)
             labels, _ = kmeans(embedding, k, rng)
         else:

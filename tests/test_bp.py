@@ -16,7 +16,7 @@ from blockbp import (
     generate_sbm,
     parse_edge_list,
 )
-from blockbp import bp
+from blockbp import bp, evaluate
 from blockbp.bp import (
     MessageUnderflowError,
     PenaltyTerms,
@@ -456,6 +456,18 @@ class TestFitDrivers:
         assert fit.params.k == fit.selected_k
         assert any("clamped to 5" in w for w in fit.warnings)
         assert not f2ab_fit(two_cliques(), 6, 0).warnings
+
+    def test_planted_four_at_n_20000_prunes_in_few_sweeps(self):
+        # scale-ladder regression: from k_max=20 the spectral partition on the
+        # columns above the bulk edge prunes to the planted four in 15 sweeps
+        # (54 when k-means clustered all 20 columns)
+        n = 20000
+        g, planted = generate_sbm(n, *evaluate.planted_four_params(n), 1)
+        fit = f2ab_fit(g, 20, 0)
+        assert fit.selected_k == 4
+        assert adjusted_rand_index(fit.map_assignment, planted.labels) >= 0.9
+        assert fit.converged
+        assert sum(entry["sweeps"] for entry in fit.trace) <= 30
 
     def test_empty_graph_returns_trivial_fit(self):
         g = Graph(5, [])

@@ -63,6 +63,31 @@ def eig_runs(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def kmeans_inputs(monkeypatch):
+    """The embedding x of every kmeans call spectral_init makes."""
+    inputs = []
+
+    def recorded(x, k, rng):
+        inputs.append(x.copy())
+        return kmeans(x, k, rng)
+
+    monkeypatch.setattr(spectral, "kmeans", recorded)
+    return inputs
+
+
+def above_bulk_edge(g, q):
+    """Mask of the columns of q whose Ritz value theta has theta sqrt(tau) > 1."""
+    tau = float(g.degree_sum()) / g.n
+    op = _normalized_adjacency(g, tau)
+    theta = np.einsum("ij,ij->j", q, op @ q)
+    return theta * np.sqrt(tau) > 1.0
+
+
+def row_normalized(q):
+    return q / np.clip(np.linalg.norm(q, axis=1, keepdims=True), 1e-12, None)
+
+
 class FixedStart:
     """Stands in for a Generator: the start block is the given matrix."""
 
@@ -87,6 +112,8 @@ DEGENERATE_GRAPHS = {
     "two_cliques": (two_cliques(5), 3),
     "k_at_n_after_clamping": (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 8),
     "isolated_and_selfloop_only": (Graph(9, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 4), (5, 5)]), 4),
+    # no edge between two nodes: zero mean degree, so no bulk edge 1/sqrt(tau)
+    "selfloops_only": (Graph(6, [(i, i) for i in range(6)]), 3),
 }
 
 
@@ -178,6 +205,48 @@ class TestSpectralInit:
         assert bool(fell_back) == (residual >= EIG_TOL)
         assert labels.shape == (g.n,) and labels.min() >= 0 and labels.max() < k
         assert np.all(np.isfinite(params.pi)) and np.all(np.isfinite(params.gamma))
+
+
+class TestBulkEdgeColumns:
+    """k-means clusters the Ritz vectors above the bulk edge theta sqrt(tau) > 1,
+    or all of them when fewer than two clear it."""
+
+    def test_planted_k20_clusters_the_four_columns_above_the_edge(self, eig_runs, kmeans_inputs):
+        n = 600
+        g, _ = generate_sbm(n, *evaluate.planted_four_params(n), seed=1)
+        spectral_init(g, 20, 0)
+        (q, _), = eig_runs
+        (x,) = kmeans_inputs
+        above = above_bulk_edge(g, q)
+        assert above.sum() == 4
+        assert np.array_equal(x, row_normalized(q[:, above]))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_planted_small_k_keeps_every_column(self, k, eig_runs, kmeans_inputs):
+        n = 600
+        g, _ = generate_sbm(n, *evaluate.planted_four_params(n), seed=2)
+        labels, _ = spectral_init(g, k, 5)
+        (q, _), = eig_runs
+        (x,) = kmeans_inputs
+        assert above_bulk_edge(g, q).all()
+        assert np.array_equal(x, row_normalized(q))
+        # the labels of clustering every column, as before the rule
+        rng = np.random.default_rng(5)
+        op = _normalized_adjacency(g, float(g.degree_sum()) / n)
+        q_ref, _ = orthogonal_iteration(op, n, k, rng)
+        labels_ref, _ = kmeans(row_normalized(q_ref), k, rng)
+        assert np.array_equal(labels, labels_ref)
+
+    def test_structureless_graph_keeps_every_column(self, eig_runs, kmeans_inputs):
+        # Erdos-Renyi: only the top Ritz value (the degree direction) clears
+        n = 600
+        g, _ = generate_sbm(n, [1.0], np.array([[6.0 / n]]), seed=3)
+        spectral_init(g, 8, 0)
+        (q, _), = eig_runs
+        (x,) = kmeans_inputs
+        assert above_bulk_edge(g, q).sum() == 1
+        assert x.shape == (n, 8)
+        assert np.array_equal(x, row_normalized(q))
 
 
 class TestOrthogonalIteration:
