@@ -285,17 +285,11 @@ class BeliefState:
         self.zzbar_cache = (s + s.T) / n**2 + pair_mass(self.self_loops, self.node_belief, n)
         return drift
 
-    def moments(self, masked_sum=None):
-        """Fresh mask-aware Moments from the current beliefs and caches.
-
-        `masked_sum`, when given, is pair_mass(graph.masked_index,
-        node_belief, 1) of the current beliefs; pair_mass(p, b, n) is that
-        divided by n^2, bit for bit.
-        """
+    def moments(self):
+        """Fresh mask-aware Moments from the current beliefs and caches."""
         n = self.n
-        if masked_sum is None:
-            masked_sum = pair_mass(self.graph.masked_index, self.node_belief, 1)
-        return Moments(self.h / n, self.zzbar_cache.copy(), n, masked_mass=masked_sum / n**2)
+        masked_mass = pair_mass(self.graph.masked_index, self.node_belief, n)
+        return Moments(self.h / n, self.zzbar_cache.copy(), n, masked_mass=masked_mass)
 
     def map_assignment(self):
         return np.argmax(self.node_belief, axis=1)
@@ -568,9 +562,8 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
     for outer in range(opts.max_outer):
         k_before = state.k_active
         state, params, info = fabbp_run(graph, params, state, opts, sweep_rng, penalty)
-        # the held-out pairs' mass, formed once for the M-step and the criterion
-        masked_sum = pair_mass(graph.masked_index, state.node_belief, 1)
-        new_params, _ = m_step(state.moments(masked_sum))
+        moments = state.moments()
+        new_params, _ = m_step(moments)
         entry = {
             "outer": outer,
             "sweeps": info["sweeps"],
@@ -582,7 +575,7 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
             entry["delta_pi"] = delta_pi
         else:
             delta_pi = None
-        entry["criterion"] = criteria.ffic_lower_bound(graph, state, new_params, masked_sum)
+        entry["criterion"] = criteria.ffic_lower_bound(graph, state, new_params)
         trace.append(entry)
         params = new_params
         if delta_pi is not None and delta_pi <= opts.tol_pi:
@@ -599,8 +592,7 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
                 if outers_since_best >= 12:
                     break
 
-    # the beliefs have not moved since the last outer iteration's masked_sum
-    report = criteria.criterion_report(graph, state, params, masked_sum)
+    report = criteria.criterion_report(graph, state, params)
     return FitResult(
         selected_k=state.k_active,
         params=params,

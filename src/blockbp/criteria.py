@@ -29,7 +29,6 @@ from .model import (
     joint_log_likelihood,
     label_counts,
     m_step,
-    pair_mass,
 )
 
 LOG_HALF = math.log(0.5)
@@ -155,37 +154,32 @@ def bethe_entropy(graph, state, params):
 # -- criterion values ---------------------------------------------------------------
 
 
-def _components(graph, state, params, masked_sum=None):
+def _components(graph, state, params):
     """Expected log-likelihood, moments and Bethe entropy at the clamped affinities.
 
     Reading pi inside [EPS_P, 1 - EPS_P] (as the sweep does) keeps a hard 0
     or 1 from the M-step from meeting soft belief weight as log(0).  Both
     the expected log-likelihood's edge weights and the entropy read one
-    edge contraction, and the non-edge weights and the moments one masked
-    pair mass: `masked_sum`, pair_mass(graph.masked_index, beliefs, 1),
-    formed here when the caller has not.
+    edge contraction.
     """
-    if masked_sum is None:
-        masked_sum = pair_mass(graph.masked_index, state.node_belief, 1)
     params = clamped(params)
     z, s = state.edge_contraction(params)
     b = state.node_belief
     # self-loop rows hold the diagonal belief diag(b_i)
     edge_sum = s + np.diag(b[state.self_loops[:, 0]].sum(axis=0))
-    expected_ll = expected_joint_log_likelihood(graph, b, params, edge_sum, masked_sum)
-    moments = state.moments(masked_sum)
+    expected_ll = expected_joint_log_likelihood(graph, b, params, edge_sum)
+    moments = state.moments()
     entropy = _bethe_entropy(graph, state, params.pi, z)
     return expected_ll, moments, entropy
 
 
-def ffic_lower_bound(graph, state, params, masked_sum=None):
+def ffic_lower_bound(graph, state, params):
     """Lower bound of the fully marginalized log-likelihood at these beliefs.
 
     The ffic_lb field of criterion_report, without the hard-assignment pass
     that icl needs; the fit driver records it once per outer iteration.
-    `masked_sum` is as in `_components`.
     """
-    expected_ll, moments, entropy = _components(graph, state, params, masked_sum)
+    expected_ll, moments, entropy = _components(graph, state, params)
     k = state.k_active
     return (
         expected_ll
@@ -196,15 +190,14 @@ def ffic_lower_bound(graph, state, params, masked_sum=None):
     )
 
 
-def criterion_report(graph, state, params, masked_sum=None):
+def criterion_report(graph, state, params):
     """All criterion values from one shared pass over the beliefs.
 
     ffic_lb and fic take the smoothed penalties (fic scales r1 by K(K+1)/2
     and drops r2); icl is the hard MAP plug-in likelihood and cicl the
     entropy-corrected soft one, each minus the dimension penalty.
-    `masked_sum` is as in `_components`.
     """
-    expected_ll, moments, entropy = _components(graph, state, params, masked_sum)
+    expected_ll, moments, entropy = _components(graph, state, params)
     n, k = graph.n, state.k_active
     r1 = r1_tilde(moments.zbar, n)
     r2 = r2_tilde(moments.zzbar, n)

@@ -215,17 +215,16 @@ def joint_log_likelihood(graph, labels, params):
     return edge_part + non_part + prop_part
 
 
-def pairwise_weight_matrices(graph, node_beliefs, edge_belief_sum=None, masked_sum=None):
+def pairwise_weight_matrices(graph, node_beliefs, edge_belief_sum=None):
     """Aggregate belief weights multiplying log(pi) and log(1 - pi).
 
     Edge pairs take `edge_belief_sum`, the (K, K) sum of the pairwise
     beliefs over the rows of graph.edges (a self-loop row holds diag of its
     node belief), or, when it is None, products of node beliefs.  Non-edge
     pairs use products of node beliefs, evaluated in closed form over the
-    whole pair universe and corrected for edges and masked pairs;
-    `masked_sum`, when given, is pair_mass(graph.masked_index, node_beliefs, 1)
-    already formed by the caller.  Returns (w_edge, w_non), both (K, K) with
-    symmetric bicluster conventions matching `bicluster_counts`.
+    whole pair universe and corrected for edges and masked pairs.  Returns
+    (w_edge, w_non), both (K, K) with symmetric bicluster conventions
+    matching `bicluster_counts`.
     """
     b = np.asarray(node_beliefs, dtype=np.float64)
     s = b.sum(axis=0)
@@ -239,23 +238,20 @@ def pairwise_weight_matrices(graph, node_beliefs, edge_belief_sum=None, masked_s
     else:
         pb = np.asarray(edge_belief_sum, dtype=np.float64)
         w_edge = 0.5 * (pb + pb.T)
-    if masked_sum is None:
-        masked_sum = pair_mass(graph.masked_index, b, 1)
-    w_non = w_all - edge_mass - 0.5 * masked_sum
+    w_non = w_all - edge_mass - 0.5 * pair_mass(graph.masked_index, b, 1)
     return w_edge, w_non
 
 
-def expected_joint_log_likelihood(graph, node_beliefs, params, edge_belief_sum=None, masked_sum=None):
+def expected_joint_log_likelihood(graph, node_beliefs, params, edge_belief_sum=None):
     """Expectation of the joint log-likelihood under a belief factorization.
 
     Connected pairs take pairwise edge beliefs, passed as their (K, K) sum
     over the rows of graph.edges (see `pairwise_weight_matrices`);
     unconnected pairs take the product of node beliefs (the same
     factorization the sparse external-field message approximation assumes);
-    proportions take node beliefs.  `masked_sum` is passed on to
-    `pairwise_weight_matrices`.
+    proportions take node beliefs.
     """
-    w_edge, w_non = pairwise_weight_matrices(graph, node_beliefs, edge_belief_sum, masked_sum)
+    w_edge, w_non = pairwise_weight_matrices(graph, node_beliefs, edge_belief_sum)
     b = np.asarray(node_beliefs, dtype=np.float64)
     tol = 1e-14
     edge_part = _safe_log_terms(np.where(w_edge > tol, w_edge, 0.0), params.pi)

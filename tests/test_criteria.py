@@ -28,7 +28,7 @@ from blockbp import (
     r2_tilde,
 )
 from blockbp.criteria import LOG_2PI, LOG_HALF
-from blockbp.model import Moments, hard_moments, pair_mass
+from blockbp.model import Moments, hard_moments
 from blockbp.evaluate import planted_four_params
 from oracles import (
     Enumeration,
@@ -552,20 +552,3 @@ class TestJointMarginalLaplace:
         assert terms.total == pytest.approx(
             terms.max_ll - terms.r1 - terms.r2 - terms.ell_n + terms.c_const, abs=1e-12
         )
-
-
-class TestMaskedSumFormedOnce:
-    """The fit driver forms the held-out pairs' mass once per outer iteration
-    and hands it to the moments and the criteria; the values are the ones
-    each would form itself, bit for bit."""
-
-    def test_given_masked_sum_changes_no_value(self):
-        g, _ = generate_sbm(600, *planted_four_params(600), 0)
-        g = mask_pairs(g, 0.04, 100)
-        state, params = TestCriteriaFromEdgeContraction.swept_state(g, 12, 0)
-        masked_sum = pair_mass(g.masked_index, state.node_belief, 1)
-        assert np.array_equal(
-            state.moments(masked_sum).masked_mass, pair_mass(g.masked_index, state.node_belief, g.n)
-        )
-        assert ffic_lower_bound(g, state, params, masked_sum) == ffic_lower_bound(g, state, params)
-        assert criterion_report(g, state, params, masked_sum) == criterion_report(g, state, params)

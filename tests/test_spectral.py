@@ -5,7 +5,7 @@ import pytest
 
 from blockbp import Graph, adjusted_rand_index, evaluate, f2ab_fit, generate_sbm, parse_edge_list, spectral_init
 from blockbp import spectral
-from blockbp.spectral import EIG_TOL, _normalized_adjacency, kmeans, orthogonal_iteration
+from blockbp.spectral import EIG_TOL, _bulk_edge, _normalized_adjacency, kmeans, orthogonal_iteration
 from oracles import dense_top_subspace, kmeans_reference
 
 
@@ -52,7 +52,7 @@ def assert_within_davis_kahan(op, q, k):
 
 @pytest.fixture
 def eig_runs(monkeypatch):
-    """The (q, residual) of every orthogonal_iteration call spectral_init makes."""
+    """The (q, residual, theta) of every orthogonal_iteration call spectral_init makes."""
     runs = []
 
     def recorded(*args):
@@ -74,14 +74,6 @@ def kmeans_inputs(monkeypatch):
 
     monkeypatch.setattr(spectral, "kmeans", recorded)
     return inputs
-
-
-def above_bulk_edge(g, q):
-    """Mask of the columns of q whose Ritz value theta has theta sqrt(tau) > 1."""
-    tau = float(g.degree_sum()) / g.n
-    op = _normalized_adjacency(g, tau)
-    theta = np.einsum("ij,ij->j", q, op @ q)
-    return theta * np.sqrt(tau) > 1.0
 
 
 def row_normalized(q):
@@ -112,7 +104,7 @@ DEGENERATE_GRAPHS = {
     "two_cliques": (two_cliques(5), 3),
     "k_at_n_after_clamping": (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 8),
     "isolated_and_selfloop_only": (Graph(9, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 4), (5, 5)]), 4),
-    # no edge between two nodes: zero mean degree, so no bulk edge 1/sqrt(tau)
+    # no edge between two nodes, so the mean degree tau is 0
     "selfloops_only": (Graph(6, [(i, i) for i in range(6)]), 3),
 }
 
@@ -184,7 +176,7 @@ class TestSpectralInit:
         n = 50000
         g, planted = generate_sbm(n, *evaluate.planted_four_params(n), seed=1)
         labels, _ = spectral_init(g, 4, 0)
-        (q, residual), = eig_runs
+        (q, residual, _), = eig_runs
         assert residual < EIG_TOL
         assert captured_signal(q, planted.labels) >= 2.9
         assert adjusted_rand_index(labels, planted.labels) >= 0.85
@@ -197,7 +189,7 @@ class TestSpectralInit:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             labels, params = spectral_init(g, k, 0)
-        (q, residual), = eig_runs
+        (q, residual, _), = eig_runs
         assert np.all(np.isfinite(q)) and np.isfinite(residual)
         assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) < 1e-12
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -208,16 +200,27 @@ class TestSpectralInit:
 
 
 class TestBulkEdgeColumns:
-    """k-means clusters the Ritz vectors above the bulk edge theta sqrt(tau) > 1,
+    """k-means clusters the Ritz vectors above the bulk edge 2 sqrt(tr(op^2) / n),
     or all of them when fewer than two clear it."""
+
+    @staticmethod
+    def bulk_edge(g):
+        return _bulk_edge(_normalized_adjacency(g, float(g.degree_sum()) / g.n))
+
+    def test_edge_at_constant_degree_is_one_over_sqrt_tau(self):
+        # circulant: each node joined to the three nearest on either side, so
+        # every degree is c = tau = 6 and the edge is 2 sqrt(c) / (c + tau)
+        n = 50
+        g = Graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2, 3)])
+        assert self.bulk_edge(g) == pytest.approx(1.0 / np.sqrt(6.0), rel=1e-12)
 
     def test_planted_k20_clusters_the_four_columns_above_the_edge(self, eig_runs, kmeans_inputs):
         n = 600
         g, _ = generate_sbm(n, *evaluate.planted_four_params(n), seed=1)
         spectral_init(g, 20, 0)
-        (q, _), = eig_runs
+        (q, _, theta), = eig_runs
         (x,) = kmeans_inputs
-        above = above_bulk_edge(g, q)
+        above = theta > self.bulk_edge(g)
         assert above.sum() == 4
         assert np.array_equal(x, row_normalized(q[:, above]))
 
@@ -226,25 +229,41 @@ class TestBulkEdgeColumns:
         n = 600
         g, _ = generate_sbm(n, *evaluate.planted_four_params(n), seed=2)
         labels, _ = spectral_init(g, k, 5)
-        (q, _), = eig_runs
+        (q, _, theta), = eig_runs
         (x,) = kmeans_inputs
-        assert above_bulk_edge(g, q).all()
+        assert (theta > self.bulk_edge(g)).all()
         assert np.array_equal(x, row_normalized(q))
         # the labels of clustering every column, as before the rule
         rng = np.random.default_rng(5)
         op = _normalized_adjacency(g, float(g.degree_sum()) / n)
-        q_ref, _ = orthogonal_iteration(op, n, k, rng)
+        q_ref, _, _ = orthogonal_iteration(op, n, k, rng)
         labels_ref, _ = kmeans(row_normalized(q_ref), k, rng)
         assert np.array_equal(labels, labels_ref)
+
+    def test_planted_column_under_one_over_sqrt_tau_is_kept(self, eig_runs, kmeans_inputs):
+        # at n=400 the fourth planted Ritz value, 0.407, sits under the
+        # constant-degree edge 1/sqrt(tau) = 0.409 but above the edge over
+        # the actual degrees, 0.392; the bulk starts at 0.371
+        n = 400
+        g, _ = generate_sbm(n, *evaluate.planted_four_params(n), seed=29)
+        spectral_init(g, 4, 0)
+        (q, _, theta), = eig_runs
+        (x,) = kmeans_inputs
+        assert theta.min() * np.sqrt(g.degree_sum() / n) < 1.0
+        assert (theta > self.bulk_edge(g)).all()
+        assert np.array_equal(x, row_normalized(q))
+        spectral_init(g, 20, 0)
+        assert (eig_runs[1][2] > self.bulk_edge(g)).sum() == 4
+        assert kmeans_inputs[1].shape == (n, 4)
 
     def test_structureless_graph_keeps_every_column(self, eig_runs, kmeans_inputs):
         # Erdos-Renyi: only the top Ritz value (the degree direction) clears
         n = 600
         g, _ = generate_sbm(n, [1.0], np.array([[6.0 / n]]), seed=3)
         spectral_init(g, 8, 0)
-        (q, _), = eig_runs
+        (q, _, theta), = eig_runs
         (x,) = kmeans_inputs
-        assert above_bulk_edge(g, q).sum() == 1
+        assert (theta > self.bulk_edge(g)).sum() == 1
         assert x.shape == (n, 8)
         assert np.array_equal(x, row_normalized(q))
 
@@ -253,7 +272,7 @@ class TestOrthogonalIteration:
     def test_columns_orthonormal(self):
         g, _ = generate_sbm(150, [0.5, 0.5], np.full((2, 2), 0.1), seed=4)
         op = _normalized_adjacency(g, 2.0)
-        q, residual = orthogonal_iteration(op, 150, 4, np.random.default_rng(0))
+        q, residual, _ = orthogonal_iteration(op, 150, 4, np.random.default_rng(0))
         gram = q.T @ q
         assert np.max(np.abs(gram - np.eye(4))) < 1e-6
 
@@ -262,7 +281,7 @@ class TestOrthogonalIteration:
         a = rng.standard_normal((40, 40))
         a = a + a.T
         op = a / np.abs(np.linalg.eigvalsh(a)).max()  # scale into [-1, 1] like a normalized adjacency
-        q, residual = orthogonal_iteration(op, 40, 3, rng)
+        q, residual, _ = orthogonal_iteration(op, 40, 3, rng)
         assert residual < EIG_TOL
         assert_within_davis_kahan(op, q, 3)
 
@@ -272,12 +291,14 @@ class TestOrthogonalIteration:
         n = 600
         g, _ = generate_sbm(n, *evaluate.planted_four_params(n), seed=3)
         op = _normalized_adjacency(g, float(g.degree_sum()) / n)
-        q, residual = orthogonal_iteration(op, n, 20, np.random.default_rng(0))
+        q, residual, ritz = orthogonal_iteration(op, n, 20, np.random.default_rng(0))
         # the columns are Ritz vectors, so each Rayleigh quotient is its Ritz
         # value; the residual is the largest column 2-norm of op q - q diag(theta)
         opq = op @ q
         theta = np.einsum("ij,ij->j", q, opq)
         assert np.max(np.abs(q.T @ opq - np.diag(theta))) < 1e-12
+        assert np.all(np.diff(ritz) >= 0)
+        assert np.max(np.abs(ritz - theta)) < 1e-12
         expected = float(np.linalg.norm(opq - q * theta, axis=0).max())
         assert residual == pytest.approx(expected, rel=1e-9, abs=1e-13)
         assert (residual < spectral.EIG_TOL) == (tol > 0)
@@ -287,7 +308,7 @@ class TestOrthogonalIteration:
         # the planted four eigenvalues clear the bulk, so the Davis-Kahan gap
         # is positive at k=4
         op = planted_operator(seed)
-        q, residual = orthogonal_iteration(op, 600, 4, np.random.default_rng(1))
+        q, residual, _ = orthogonal_iteration(op, 600, 4, np.random.default_rng(1))
         assert residual < EIG_TOL
         assert_within_davis_kahan(op, q, 4)
 
@@ -299,7 +320,7 @@ class TestOrthogonalIteration:
         start = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            q, residual = orthogonal_iteration(op, 3, 2, FixedStart(start))
+            q, residual, _ = orthogonal_iteration(op, 3, 2, FixedStart(start))
         assert np.allclose(q.T @ q, np.eye(2))
         # (e1 + e2)/sqrt(2) has Ritz value 0.85 and residual (0.05, -0.05)/sqrt(2)
         assert residual == pytest.approx(0.05, rel=1e-9)
@@ -311,7 +332,7 @@ class TestOrthogonalIteration:
         op = _normalized_adjacency(g, float(g.degree_sum()) / g.n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            q, residual = orthogonal_iteration(op, g.n, k, np.random.default_rng(0))
+            q, residual, _ = orthogonal_iteration(op, g.n, k, np.random.default_rng(0))
         assert q.shape == (g.n, k)
         assert np.all(np.isfinite(q)) and np.isfinite(residual)
         assert np.max(np.abs(q.T @ q - np.eye(k))) < 1e-12
@@ -335,7 +356,7 @@ class TestKmeans:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_loop(self, seed):
         rng = np.random.default_rng(seed)
-        q, _ = orthogonal_iteration(planted_operator(seed), 600, 20, rng)
+        q, _, _ = orthogonal_iteration(planted_operator(seed), 600, 20, rng)
         x = q / np.clip(np.linalg.norm(q, axis=1, keepdims=True), 1e-12, None)
         twin = same_state(rng)
         labels, cost = kmeans(x, 20, rng)
