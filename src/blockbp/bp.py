@@ -520,7 +520,15 @@ def _soft_init(graph, labels, k, confidence=0.45):
 
 def _fit_driver(graph, k_init, seed, opts, method, penalty):
     """Alternate BP sweeps in the given penalty mode with closed-form M-steps
-    until the affinities settle."""
+    until the affinities settle.
+
+    Each outer iteration appends one trace entry with its index (`outer`),
+    the sweep count and final mean message change of its sweep run
+    (`sweeps`, `mean_delta`), the surviving cluster count (`k_active`) and,
+    when K held through the iteration, the largest affinity change of the
+    M-step (`delta_pi`).  The criteria, the lower bound among them, are
+    computed once, for the returned state.
+    """
     from .spectral import spectral_init
 
     if k_init < 1:
@@ -575,7 +583,6 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
             entry["delta_pi"] = delta_pi
         else:
             delta_pi = None
-        entry["criterion"] = criteria.ffic_lower_bound(graph, state, new_params)
         trace.append(entry)
         params = new_params
         if delta_pi is not None and delta_pi <= opts.tol_pi:

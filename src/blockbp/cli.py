@@ -84,6 +84,8 @@ def _build_parser():
     sweep.add_argument("--output", required=True)
     sweep.add_argument("--tol-msg", type=float, default=1e-2)
     sweep.add_argument("--tol-pi", type=float, default=1e-8)
+    sweep.add_argument("--max-sweeps", type=int, default=500)
+    sweep.add_argument("--max-outer", type=int, default=200)
 
     ev = sub.add_parser("eval", help="score a fit against held-out observations")
     ev.add_argument("--fit", required=True)
@@ -144,7 +146,12 @@ def _parse_sweep_range(text):
 def _cmd_sweep(args):
     graph = parse_edge_list(_read(args.input))
     k_range = args.sweep
-    opts = bp.BPOptions(tol_msg=args.tol_msg, tol_pi=args.tol_pi)
+    opts = bp.BPOptions(
+        tol_msg=args.tol_msg,
+        tol_pi=args.tol_pi,
+        max_sweeps=args.max_sweeps,
+        max_outer=args.max_outer,
+    )
     rows = evaluate.sweep_criteria(graph, k_range, args.seed, opts=opts)
     attr = {"icl": "icl", "cicl": "cicl", "ffic": "ffic_lb", "fic": "fic"}[args.method]
     best_k = max(rows, key=lambda r: getattr(r[1], attr))[0]

@@ -5,7 +5,9 @@ tractable lower bound of the fully marginalized log-likelihood; icl/cicl/fic
 are the baseline criteria evaluated from the same belief state.  The
 expected log-likelihood and the Bethe entropy read that state through one
 (m, K) edge contraction (`BeliefState.edge_contraction`), so a criteria pass
-holds O(mK) memory and no (m, K, K) pairwise beliefs.  For small
+holds O(mK) memory and no (m, K, K) pairwise beliefs.  A fit runs one
+criteria pass, `criterion_report` on its returned state; no criterion is
+evaluated inside the alternation of sweeps and M-steps.  For small
 hard assignments, `exact_joint_marginal` integrates the parameters out in
 closed form (conjugate Beta/Dirichlet integrals under flat natural-parameter
 priors) and `joint_marginal_laplace` evaluates the matching asymptotic
@@ -177,7 +179,8 @@ def ffic_lower_bound(graph, state, params):
     """Lower bound of the fully marginalized log-likelihood at these beliefs.
 
     The ffic_lb field of criterion_report, without the hard-assignment pass
-    that icl needs; the fit driver records it once per outer iteration.
+    that icl needs.  The fit driver does not call it: a fit's bound is the
+    ffic_lb of its `FitResult.criteria`.
     """
     expected_ll, moments, entropy = _components(graph, state, params)
     k = state.k_active

@@ -141,11 +141,14 @@ def pair_mass(pairs, beliefs, n):
     pairs per bicluster: off-diagonal entries once, diagonal entries twice.
     """
     b = np.asarray(beliefs, dtype=np.float64)
+    if not pairs.shape[0]:
+        # an unmasked graph (or one without self-loops): skip the gathers
+        return np.zeros((b.shape[1], b.shape[1]))
     self_pair = pairs[:, 0] == pairs[:, 1]
     off = pairs[~self_pair]
     u = b[off[:, 0]].T @ b[off[:, 1]]
     mass = u + u.T
-    mass[np.diag_indices_from(mass)] += 2.0 * b[pairs[self_pair, 0]].sum(axis=0)
+    mass.flat[:: mass.shape[0] + 1] += 2.0 * b[pairs[self_pair, 0]].sum(axis=0)
     return mass / n**2
 
 

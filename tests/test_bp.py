@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from blockbp import (
     generate_sbm,
     parse_edge_list,
 )
-from blockbp import bp, evaluate
+from blockbp import bp, criteria, evaluate
 from blockbp.bp import (
     MessageUnderflowError,
     PenaltyTerms,
@@ -505,6 +507,19 @@ class TestFitDrivers:
         ks = [entry["k_active"] for entry in fit.trace]
         assert all(b <= a for a, b in zip(ks, ks[1:]))
 
+    def test_planted_four_isolated_nodes_hold_no_cluster(self):
+        # regression over the 40 seeds recorded when penalized fits kept a
+        # cluster held only by nodes without an edge to another node
+        n = 600
+        for seed in range(100, 140):
+            g, _ = generate_sbm(n, *evaluate.planted_four_params(n), seed)
+            fit = f2ab_fit(g, 20, seed)
+            assert fit.selected_k == 4, seed
+            pairs = g.edges[g.edges[:, 0] != g.edges[:, 1]]
+            linked = np.bincount(pairs.reshape(-1), minlength=n) > 0
+            for c in range(fit.selected_k):
+                assert linked[fit.map_assignment == c].any(), (seed, c)
+
     def test_fic_bp_variant_runs_and_prunes(self):
         n = 300
         pi = np.array([[25 / n, 1 / n], [1 / n, 25 / n]])
@@ -528,6 +543,46 @@ class TestFitDrivers:
         assert a.selected_k == b.selected_k
         assert np.array_equal(a.node_marginals, b.node_marginals)
         assert fit_result_to_json(a) == fit_result_to_json(b)
+
+    def test_fits_never_call_the_lower_bound(self, monkeypatch):
+        # the bound is computed once, inside criterion_report; the driver's
+        # loop must not evaluate it per outer iteration
+        def refuse(*_args):
+            raise AssertionError("ffic_lower_bound called during a fit")
+
+        monkeypatch.setattr(criteria, "ffic_lower_bound", refuse)
+        n = 300
+        pi = np.array([[25 / n, 1 / n], [1 / n, 25 / n]])
+        g, _ = generate_sbm(n, [0.5, 0.5], pi, seed=4)
+        for fit_method in (f2ab_fit, fic_bp_fit, fixed_k_fit):
+            fit = fit_method(g, 6, 1)
+            assert np.isfinite(fit.criteria.ffic_lb)
+
+    def test_trace_entry_keys(self):
+        # delta_pi is recorded exactly when K held through the outer iteration
+        n = 300
+        pi = np.array([[25 / n, 1 / n], [1 / n, 25 / n]])
+        g, _ = generate_sbm(n, [0.5, 0.5], pi, seed=4)
+        fit = f2ab_fit(g, k_max=8, seed=1)
+        base = {"outer", "sweeps", "mean_delta", "k_active"}
+        k_before = 8
+        for index, entry in enumerate(fit.trace):
+            held = entry["k_active"] == k_before
+            assert set(entry) == (base | {"delta_pi"} if held else base)
+            assert entry["outer"] == index
+            k_before = entry["k_active"]
+        assert fit.trace[0]["k_active"] < 8  # some entries lack delta_pi
+        assert "delta_pi" in fit.trace[-1]
+
+    def test_trace_with_criterion_key_still_loads(self):
+        # older fit.json files carry a "criterion" value in every trace entry
+        g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.15), seed=10)
+        payload = json.loads(fit_result_to_json(fixed_k_fit(g, 2, seed=3)))
+        for entry in payload["trace"]:
+            entry["criterion"] = -123.5
+        back = fit_result_from_json(json.dumps(payload))
+        assert back.trace == payload["trace"]
+        assert back.criteria.ffic_lb == payload["criteria"]["ffic_lb"]
 
     def test_fit_result_roundtrip(self):
         g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.15), seed=10)

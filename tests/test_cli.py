@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from blockbp.bp import fit_result_from_json
+from blockbp import evaluate
+from blockbp.bp import fit_result_from_json, fixed_k_fit
 from blockbp.cli import main
 
 
@@ -123,6 +124,36 @@ class TestSweep:
         assert len(lines) == 5
         stars = [ln for ln in lines[1:] if ln.endswith(",*")]
         assert len(stars) == 1
+
+    def test_caps_reach_every_fit(self, generated, tmp_path, monkeypatch):
+        traces = []
+
+        def recording_fit(graph, k, seed, opts=None):
+            fit = fixed_k_fit(graph, k, seed, opts)
+            traces.append(fit.trace)
+            return fit
+
+        monkeypatch.setattr(evaluate.bp, "fixed_k_fit", recording_fit)
+        out = tmp_path / "table.csv"
+        code = run(["sweep", "--input", str(generated), "--sweep", "2:4", "--tol-msg", "0",
+                    "--max-sweeps", "2", "--max-outer", "1", "--output", str(out)])
+        assert code == 0
+        assert len(out.read_text().strip().split("\n")) == 4
+        assert [[entry["sweeps"] for entry in trace] for trace in traces] == [[2]] * 3
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-sweeps", "-3"), ("--max-sweeps", "0"), ("--max-outer", "0"),
+         ("--max-outer", "-1"), ("--tol-msg", "-0.1"), ("--tol-pi", "nan")],
+    )
+    def test_out_of_range_stopping_value_exits_one(
+        self, generated, tmp_path, capsys, flag, value
+    ):
+        code = run(["sweep", "--input", str(generated), "--sweep", "1:2",
+                    "--output", str(tmp_path / "table.csv"), flag, value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "g.txt.labels"]
 
     def test_bad_range_exits_two(self, generated, tmp_path):
         code = run(["sweep", "--input", str(generated), "--sweep", "4:1",
