@@ -23,6 +23,11 @@ everything about a sweep that is not a stopping value:
 Both penalized modes read the live proportions h/n as their prior, replace
 each message outright, and prune a cluster after any colour class that
 leaves its expected proportion below 0.1/n.
+
+Every fit starts from the spectral partition (`_soft_init`), which sets the
+beliefs, every message and the first params.  Penalized fits mix it with
+the uniform distribution (confidence START_CONFIDENCE) so that redundant
+clusters can still merge; plain fits never prune and take it one-hot.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .model import (
 
 PRUNE_SCALE = 0.1  # prune cluster k when E[zbar_k] < PRUNE_SCALE / n
 PLAIN_DAMPING = 0.5  # share of the old message kept by a plain update
+START_CONFIDENCE = 0.45  # weight of the spectral label in a penalized fit's start
 
 
 class MessageUnderflowError(RuntimeError):
@@ -105,12 +111,15 @@ def _normalize_rows(w, edge_of):
     """Scale nonnegative rows to sum 1, in place.
 
     A row whose sum is not finite and positive raises MessageUnderflowError
-    naming the edge edge_of(row) returns.
+    naming the edge edge_of(row) returns.  One test on the smallest sum and
+    the total clears the common case; the rows are checked one by one only
+    when it fails.
     """
     total = w.sum(axis=1, keepdims=True)
-    ok = np.isfinite(total[:, 0]) & (total[:, 0] > 0.0)
-    if not ok.all():
-        raise MessageUnderflowError(*edge_of(int(np.argmin(ok))))
+    if total.size and not (total.min() > 0.0 and np.isfinite(total.sum())):
+        ok = np.isfinite(total[:, 0]) & (total[:, 0] > 0.0)
+        if not ok.all():
+            raise MessageUnderflowError(*edge_of(int(np.argmin(ok))))
     w /= total
     return w
 
@@ -137,8 +146,10 @@ class InLists:
     """The in-messages of a set of nodes, grouped by node.
 
     ids[starts[r]:starts[r] + count] are the messages into nodes[r]; owner
-    maps each id to its row r; filled lists the rows with at least one
-    message, so empty segments never reach np.add.reduceat.
+    maps each id to its row r; src and rev hold each id's sender and the
+    stored row of its reverse message (the out-message that answers it);
+    filled lists the rows with at least one message, so empty segments
+    never reach np.add.reduceat.
     """
 
     nodes: np.ndarray
@@ -146,9 +157,13 @@ class InLists:
     owner: np.ndarray
     starts: np.ndarray
     filled: np.ndarray
+    src: np.ndarray
+    rev: np.ndarray
 
     def segment_sum(self, values):
         """Per-node sums of values (one row per id); zero rows for nodes without messages."""
+        if self.filled.size == self.nodes.size:
+            return np.add.reduceat(values, self.starts, axis=0)
         out = np.zeros((self.nodes.size, values.shape[1]))
         if self.ids.size:
             out[self.filled] = np.add.reduceat(values, self.starts[self.filled], axis=0)
@@ -215,7 +230,9 @@ class BeliefState:
         starts = np.cumsum(counts) - counts
         owner = np.repeat(np.arange(nodes.size), counts)
         ids = self.in_first[nodes][owner] + np.arange(owner.size) - starts[owner]
-        return InLists(nodes, ids, owner, starts, np.flatnonzero(counts))
+        return InLists(
+            nodes, ids, owner, starts, np.flatnonzero(counts), self.src[ids], self.rev[ids]
+        )
 
     def start_from(self, beliefs, params):
         """Set node beliefs and every message b[src] from one belief matrix."""
@@ -237,7 +254,7 @@ class BeliefState:
         """
         if lists is None:
             lists = self.in_lists(np.atleast_1d(node))
-        out = lists.segment_sum(self.node_belief[self.src[lists.ids]])
+        out = lists.segment_sum(self.node_belief[lists.src])
         return out if np.ndim(node) else out[0]
 
     def edge_beliefs(self, params):
@@ -377,15 +394,17 @@ def _update_class(state, cls, params, penalty):
     """
     n, pi = state.n, params.pi
     plain = penalty == "none"
-    ids = cls.ids
-    out = state.rev[ids]  # out-message i->j sits on the row of in-message j->i
-    in_msgs = state.messages[ids]
+    out = cls.rev  # out-message i->j sits on the row of in-message j->i
+    # a gathered copy: a view of the class's block would move the rounding
+    # of the GEMMs below
+    in_msgs = state.messages[cls.ids]
     in_vals = in_msgs @ pi
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):  # a pruned message row can be all zero
         log_in = np.log(in_vals)
-    prior = params.gamma if plain else state.zbar_cache
-    base = np.log(np.clip(prior, EPS_P, None)) + cls.segment_sum(log_in)
-    base += external_field(params, state.zbar_cache, n)
+    zbar = state.zbar_cache
+    prior = params.gamma if plain else zbar
+    base = np.log(np.maximum(prior, EPS_P)) + cls.segment_sum(log_in)
+    base += external_field(params, zbar, n)
     if not plain:
         base -= compute_penalty(state, cls.nodes, penalty, cls).lam
 
@@ -399,8 +418,9 @@ def _update_class(state, cls, params, penalty):
     new_belief = _normalize_rows(weights, lambda r: (int(cls.nodes[r]),) * 2)
     old_msgs = state.messages[out]
     if plain:
-        new_msgs = (1.0 - PLAIN_DAMPING) * new_msgs + PLAIN_DAMPING * old_msgs
-    deltas = new_msgs - old_msgs
+        new_msgs *= 1.0 - PLAIN_DAMPING
+        new_msgs += PLAIN_DAMPING * old_msgs
+    deltas = np.subtract(new_msgs, old_msgs, out=old_msgs)
     u = pi * (deltas.T @ in_msgs) / n**2
     state.zzbar_cache += 0.5 * (u + u.T)
     state.messages[out] = new_msgs
@@ -494,16 +514,20 @@ class FitResult:
     node_ids: list | None = None  # original tokens when parsed from an edge list
 
 
-def _soft_init(graph, labels, k, confidence=0.45):
-    """Softened spectral responsibilities and their closed-form parameters.
+def _soft_init(graph, labels, k, confidence=START_CONFIDENCE):
+    """Spectral responsibilities, mixed with the uniform distribution, and
+    their closed-form parameters.
 
-    Mixing the hard assignment with the uniform distribution keeps redundant
-    clusters' affinity rows nearly homogeneous at the start: the hard-stat
-    affinities would imprint the sampling noise of the initial partition and
-    lock the cluster count near its initial value.  The mix is a balance:
-    much softer and the proportion dynamics merge true clusters before the
-    likelihood separates them, much harder and clone splits of true clusters
-    survive to lock-in.  Returns (params, beliefs).
+    Each node's row is confidence on its label plus (1 - confidence) / k on
+    every cluster.  Penalized fits use START_CONFIDENCE (0.45): the mix keeps
+    redundant clusters' affinity rows nearly homogeneous at the start, where
+    the hard-stat affinities would imprint the sampling noise of the initial
+    partition and lock the cluster count near its initial value.  The mix is
+    a balance: much softer and the proportion dynamics merge true clusters
+    before the likelihood separates them, much harder and clone splits of
+    true clusters survive to lock-in.  Plain fits prune nothing, so they use
+    confidence 1.0: one-hot rows and the M-step of the hard partition.
+    Returns (params, beliefs).
     """
     n = graph.n
     b = np.full((n, k), (1.0 - confidence) / k)
@@ -528,6 +552,13 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
     when K held through the iteration, the largest affinity change of the
     M-step (`delta_pi`).  The criteria, the lower bound among them, are
     computed once, for the returned state.
+
+    Every fit starts from the spectral partition, not from the state's
+    random draws: `_soft_init` sets the beliefs, every message and the
+    first params.  Penalized fits soften the partition (START_CONFIDENCE) so
+    that redundant clusters can still merge; plain fits keep K fixed and
+    take it one-hot (confidence 1.0), which spares them the sweeps a random
+    start spends finding the partition.
     """
     from .spectral import spectral_init
 
@@ -548,19 +579,15 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
     # every caught warning on to the caller's filters
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        labels0, hard_params = spectral_init(graph, k_init, seed_spectral.generate_state(1)[0])
+        labels0, _ = spectral_init(graph, k_init, seed_spectral.generate_state(1)[0])
     for w in caught:
         if issubclass(w.category, UserWarning):
             fit_warnings.append(str(w.message))
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     state = BeliefState(graph, k_init, np.random.default_rng(seed_msg))
-    if penalty != "none":
-        # penalized sweeps start from the spectral partition itself, not from
-        # the random draws: the soft responsibilities set beliefs and messages
-        params, beliefs = _soft_init(graph, labels0, k_init)
-        state.start_from(beliefs, params)
-    else:
-        params = hard_params
+    confidence = 1.0 if penalty == "none" else START_CONFIDENCE
+    params, beliefs = _soft_init(graph, labels0, k_init, confidence)
+    state.start_from(beliefs, params)
     sweep_rng = np.random.default_rng(seed_sweep)
 
     trace = []

@@ -53,6 +53,13 @@ def isolated_selfloop_graph():
     return Graph(10, edges)
 
 
+def every_node_linked_graph():
+    """n=8: a cycle with three chords and a self-loop on 3; every node has an
+    edge to another node, so every colour class's in-lists are all filled."""
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (1, 5), (2, 6), (3, 3)]
+    return Graph(8, edges)
+
+
 def one_sweep(graph, params, state, penalty):
     opts = BPOptions(max_sweeps=1, tol_msg=0.0)
     return fabbp_run(graph, params, state, opts, np.random.default_rng(0), penalty)
@@ -178,13 +185,14 @@ class TestMessageUpdates:
         assert np.all(penalized.messages[:, 0] < base.messages[:, 0])
         assert np.all(penalized.node_belief[:, 0] < base.node_belief[:, 0])
 
-    def test_underflow_raises_with_edge_name(self):
+    @pytest.mark.parametrize("penalty", ["none", "fab"])
+    def test_underflow_raises_with_edge_name(self, penalty):
         g = Graph(2, [(0, 1)])
         params = Params(np.array([0.5, 0.5]), np.array([[0.4, 0.1], [0.1, 0.4]]))
         state = fresh_state(g, 2)
         state.messages[:] = np.nan
         with pytest.raises(MessageUnderflowError) as caught:
-            one_sweep(g, params, state, penalty="none")
+            one_sweep(g, params, state, penalty=penalty)
         i, j = caught.value.edge
         assert {i, j} == {0, 1}
         assert str(caught.value) == f"message underflow on edge {i}->{j}"
@@ -214,8 +222,12 @@ class TestColourClasses:
             colour = np.empty(g.n, dtype=np.int64)
             for c, cls in enumerate(state.classes):
                 colour[cls.nodes] = c
-                # in-lists grouped by node: each id points into its owner
+                # in-lists grouped by node: each id points into its owner,
+                # and rev holds the owner's answer to each sender
                 assert np.array_equal(state.dst[cls.ids], cls.nodes[cls.owner])
+                assert np.array_equal(cls.src, state.src[cls.ids])
+                assert np.array_equal(state.src[cls.rev], cls.nodes[cls.owner])
+                assert np.array_equal(state.dst[cls.rev], cls.src)
             edges = g.edges[g.edges[:, 0] != g.edges[:, 1]]
             assert np.all(colour[edges[:, 0]] != colour[edges[:, 1]])
 
@@ -229,12 +241,10 @@ class TestColourClasses:
         reference.uniform(size=(g.n, 3))
         assert rng.uniform() == reference.uniform()
 
-    @pytest.mark.parametrize("include_field", [False, True])
-    @pytest.mark.parametrize("penalized", [False, True])
-    def test_class_sweep_matches_per_node_reference(self, include_field, penalized, monkeypatch):
+    @staticmethod
+    def check_class_sweep(g, include_field, penalized, monkeypatch):
         # plain sweeps: the gamma prior, damped by a half; penalized sweeps
         # with a zero penalty: the live prior, undamped
-        g = isolated_selfloop_graph()
         pi = np.array([[0.6, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.7]])
         params = Params(np.array([0.5, 0.3, 0.2]), pi)
         state = fresh_state(g, 3, seed=4)
@@ -248,6 +258,24 @@ class TestColourClasses:
         fabbp_run(g, params, state, opts, np.random.default_rng(7), "fab" if penalized else "none")
         assert np.max(np.abs(state.messages - msgs)) < 1e-12
         assert np.max(np.abs(state.node_belief - beliefs)) < 1e-12
+
+    @pytest.mark.parametrize("include_field", [False, True])
+    @pytest.mark.parametrize("penalized", [False, True])
+    def test_class_sweep_matches_per_node_reference(self, include_field, penalized, monkeypatch):
+        # isolated nodes: some class sums its in-messages around empty segments
+        g = isolated_selfloop_graph()
+        assert not all(cls.filled.size == cls.nodes.size for cls in fresh_state(g, 3).classes)
+        self.check_class_sweep(g, include_field, penalized, monkeypatch)
+
+    @pytest.mark.parametrize("include_field", [False, True])
+    @pytest.mark.parametrize("penalized", [False, True])
+    def test_all_linked_class_sweep_matches_per_node_reference(
+        self, include_field, penalized, monkeypatch
+    ):
+        # every node linked: each class sums its in-messages in one reduceat
+        g = every_node_linked_graph()
+        assert all(cls.filled.size == cls.nodes.size for cls in fresh_state(g, 3).classes)
+        self.check_class_sweep(g, include_field, penalized, monkeypatch)
 
 
 class TestComputePenalty:
@@ -543,6 +571,38 @@ class TestFitDrivers:
         assert a.selected_k == b.selected_k
         assert np.array_equal(a.node_marginals, b.node_marginals)
         assert fit_result_to_json(a) == fit_result_to_json(b)
+
+    @pytest.mark.parametrize("fit_method", [f2ab_fit, fic_bp_fit, fixed_k_fit])
+    def test_every_fit_starts_from_the_spectral_partition(self, fit_method, monkeypatch):
+        # penalized fits start from the partition mixed with the uniform
+        # distribution; plain fits from its one-hot rows and the M-step of
+        # the hard partition
+        from blockbp.spectral import spectral_init
+
+        n, k, seed = 200, 4, 5
+        pi = np.array([[20 / n, 2 / n], [2 / n, 20 / n]])
+        g, _ = generate_sbm(n, [0.5, 0.5], pi, seed=9)
+        spectral_seed = np.random.SeedSequence(seed).spawn(3)[0].generate_state(1)[0]
+        labels, hard_params = spectral_init(g, k, spectral_seed)
+        starts = []
+        start_from = BeliefState.start_from
+
+        def recording(state, beliefs, params):
+            starts.append((np.array(beliefs), params))
+            return start_from(state, beliefs, params)
+
+        monkeypatch.setattr(BeliefState, "start_from", recording)
+        fit_method(g, k, seed)
+        assert len(starts) == 1
+        beliefs, params = starts[0]
+        confidence = 1.0 if fit_method is fixed_k_fit else bp.START_CONFIDENCE
+        expected = np.full((n, k), (1.0 - confidence) / k)
+        expected[np.arange(n), labels] += confidence
+        assert np.array_equal(beliefs, expected)
+        assert np.array_equal(np.argmax(beliefs, axis=1), labels)
+        if fit_method is fixed_k_fit:
+            assert params.gamma == pytest.approx(hard_params.gamma, rel=1e-12)
+            assert params.pi == pytest.approx(hard_params.pi, rel=1e-12)
 
     def test_fits_never_call_the_lower_bound(self, monkeypatch):
         # the bound is computed once, inside criterion_report; the driver's
