@@ -24,9 +24,10 @@ Both penalized modes read the live proportions h/n as their prior, replace
 each message outright, and prune a cluster after any colour class that
 leaves its expected proportion below 0.1/n.
 
-Every fit starts from the spectral partition (`_soft_init`), which sets the
-beliefs, every message and the first params.  Penalized fits mix it with
-the uniform distribution (confidence START_CONFIDENCE) so that redundant
+Every fit starts from the spectral partition: `_soft_init` turns it into
+node beliefs and the first params, and `BeliefState(graph, beliefs, params)`
+sets every message i->j to b_i.  Penalized fits mix the partition with the
+uniform distribution (confidence START_CONFIDENCE) so that redundant
 clusters can still merge; plain fits never prune and take it one-hot.
 """
 
@@ -91,15 +92,6 @@ class BPOptions:
             value = getattr(self, name)
             if not value >= 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-@dataclass
-class PenaltyTerms:
-    """Per-node penalty vector and its excluded-node statistics."""
-
-    lam: np.ndarray
-    t_excl: np.ndarray
-    T_excl: np.ndarray | None
 
 
 def external_field(params, zbar, n):
@@ -173,19 +165,19 @@ class InLists:
 class BeliefState:
     """Mutable per-run state: directed messages, node beliefs, moment caches.
 
-    Owned by exactly one fit run; the underlying Graph is shared read-only.
+    Built from an (n, K) belief matrix: node i's belief is row i, every
+    message i->j starts as b_i, and the moment caches are computed exactly
+    at the affinities of `params`; K is the matrix's column count.  Owned
+    by exactly one fit run; the underlying Graph is shared read-only.
     Messages exist for both orientations of every non-self-loop training
     edge; self-loops contribute to statistics but carry no message.
     `classes` holds the InLists of the colour classes of a greedy proper
-    colouring (largest degree first), which draws nothing from the RNG.
+    colouring (largest degree first).
     """
 
-    def __init__(self, graph, k, rng):
+    def __init__(self, graph, beliefs, params):
         self.graph = graph
         self.n = graph.n
-        self.k_active = int(k)
-        self.removed = []
-        self.active_clusters = list(range(k))
 
         pairs = graph.edges[graph.edges[:, 0] != graph.edges[:, 1]]
         m = pairs.shape[0]
@@ -215,13 +207,12 @@ class BeliefState:
         bounds = np.cumsum(np.bincount(colour))[:-1]
         self.classes = [self.in_lists(nodes) for nodes in np.split(by_colour, bounds)]
 
-        self.messages = rng.uniform(0.1, 1.0, size=(2 * m, k))[order]
-        self.messages /= self.messages.sum(axis=1, keepdims=True)
-        self.node_belief = rng.uniform(0.1, 1.0, size=(self.n, k))
-        self.node_belief /= self.node_belief.sum(axis=1, keepdims=True)
-        self.h = self.node_belief.sum(axis=0)
-        self.zzbar_cache = np.zeros((k, k))
-        self.drift_log = []
+        self.node_belief = np.array(beliefs, dtype=np.float64)
+        self.k_active = self.node_belief.shape[1]
+        self.messages = self.node_belief[self.src]
+        # free the layout temporaries before the refresh's (m, K) arrays
+        del pairs, src, dst, order, position, colour, by_colour, counts
+        self.refresh_moments(params)
 
     def in_lists(self, nodes):
         """InLists of the given node-index array."""
@@ -233,13 +224,6 @@ class BeliefState:
         return InLists(
             nodes, ids, owner, starts, np.flatnonzero(counts), self.src[ids], self.rev[ids]
         )
-
-    def start_from(self, beliefs, params):
-        """Set node beliefs and every message b[src] from one belief matrix."""
-        self.node_belief = np.array(beliefs, dtype=np.float64)
-        self.messages = self.node_belief[self.src]
-        self.h = self.node_belief.sum(axis=0)
-        self.refresh_moments(params)
 
     # -- views ---------------------------------------------------------------
 
@@ -293,14 +277,10 @@ class BeliefState:
 
     def refresh_moments(self, params):
         """Exact recomputation of both moment caches from current beliefs."""
-        n, k = self.n, self.k_active
-        h_exact = self.node_belief.sum(axis=0)
-        drift = float(np.max(np.abs(self.h - h_exact) / n)) if k else 0.0
-        self.h = h_exact
-
+        n = self.n
+        self.h = self.node_belief.sum(axis=0)
         _, s = self.edge_contraction(params)
         self.zzbar_cache = (s + s.T) / n**2 + pair_mass(self.self_loops, self.node_belief, n)
-        return drift
 
     def moments(self):
         """Fresh mask-aware Moments from the current beliefs and caches."""
@@ -328,10 +308,6 @@ class BeliefState:
             keep = np.sort(np.append(keep, top))
         if keep.size == 0:
             raise AssertionError("pruning removed every cluster")
-        dropped = [c for c in range(self.k_active) if c not in set(keep.tolist())]
-        for c in dropped:
-            self.removed.append(self.active_clusters[c])
-        self.active_clusters = [self.active_clusters[c] for c in keep]
 
         self.messages = self.messages[:, keep]
         norm = np.clip(self.messages.sum(axis=1, keepdims=True), 1e-300, None)
@@ -349,16 +325,16 @@ class BeliefState:
 
 
 def compute_penalty(state, node, mode="fab", lists=None):
-    """Smoothed marginal-likelihood penalty for the messages of one node.
+    """Smoothed marginal-likelihood penalty (K,) for the messages of one node.
 
-    `node` may be a node-index array: lam and t_excl then hold one row per
-    node and T_excl a leading node axis.  t and T are the cluster and
-    bicluster pseudo-counts excluding the node itself, formed from the live
-    expected proportions (which the closed-form estimators equal at every
-    update of the alternation); both are clamped below at 1 so the penalty
-    stays finite and nonnegative in degenerate states.  Mode "fic" keeps
-    only the cluster-size term, scaled by K(K+1)/2, and leaves T_excl unset.
-    `lists`, when given, is the InLists of the node array.
+    `node` may be a node-index array: the penalty then holds one row per
+    node.  It is built from the cluster and bicluster pseudo-counts t and T
+    excluding the node itself, formed from the live expected proportions
+    (which the closed-form estimators equal at every update of the
+    alternation); both are clamped below at 1 so the penalty stays finite
+    and nonnegative in degenerate states.  Mode "fic" keeps only the
+    cluster-size term, scaled by K(K+1)/2.  `lists`, when given, is the
+    InLists of the node array.
     """
     # cluster and bicluster masses enter through the live caches (h = n *
     # E[zbar], n^2 * E[zzbar]); tracking them within a sweep lets a shrinking
@@ -370,14 +346,13 @@ def compute_penalty(state, node, mode="fab", lists=None):
     r1_term = 0.5 * np.log1p(1.0 / t)
     if mode == "fic":
         k = state.k_active
-        return PenaltyTerms((k * (k + 1) / 2.0) * r1_term, t, None)
+        return (k * (k + 1) / 2.0) * r1_term
     nbr = state.neighbor_belief_sum(node, lists)
     big_t = np.multiply(b[..., :, None], nbr[..., None, :])
     np.subtract(n * n * state.zzbar_cache + 1.0, big_t, out=big_t)
     np.clip(big_t, 1.0, None, out=big_t)
     terms = np.divide(nbr[..., None, :], big_t)
-    lam = r1_term + 0.5 * np.log1p(terms, out=terms).sum(axis=-1)
-    return PenaltyTerms(lam, t, big_t)
+    return r1_term + 0.5 * np.log1p(terms, out=terms).sum(axis=-1)
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -406,7 +381,7 @@ def _update_class(state, cls, params, penalty):
     base = np.log(np.maximum(prior, EPS_P)) + cls.segment_sum(log_in)
     base += external_field(params, zbar, n)
     if not plain:
-        base -= compute_penalty(state, cls.nodes, penalty, cls).lam
+        base -= compute_penalty(state, cls.nodes, penalty, cls)
 
     # each finite row of weights peaks at 1; out-message i->j is node i's
     # weights without the factor of in-message j->i, so every such row sums
@@ -469,8 +444,7 @@ def fabbp_run(graph, params, state, opts, rng=None, penalty="fab"):
                 working = state.prune_clusters(working)
                 sweep_params = clamped(working)
 
-        drift = state.refresh_moments(sweep_params)
-        state.drift_log.append(drift)
+        state.refresh_moments(sweep_params)
         mean_delta = total_delta / m_edges
         if mean_delta <= opts.tol_msg:
             converged = True
@@ -553,9 +527,9 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
     M-step (`delta_pi`).  The criteria, the lower bound among them, are
     computed once, for the returned state.
 
-    Every fit starts from the spectral partition, not from the state's
-    random draws: `_soft_init` sets the beliefs, every message and the
-    first params.  Penalized fits soften the partition (START_CONFIDENCE) so
+    Every fit starts from the spectral partition: `_soft_init` gives the
+    beliefs and the first params, and the BeliefState built from them sets
+    every message.  Penalized fits soften the partition (START_CONFIDENCE) so
     that redundant clusters can still merge; plain fits keep K fixed and
     take it one-hot (confidence 1.0), which spares them the sweeps a random
     start spends finding the partition.
@@ -573,8 +547,12 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
         fit_warnings.append(f"cluster count {k_init} exceeds n={graph.n}; clamped to {graph.n}")
         k_init = graph.n
 
+    # three children with the middle one unused: the sweep RNG stays the
+    # third child, so a seed gives the same sweep order, and the same
+    # fit.json, as in releases that drew random start messages from the
+    # middle one
     ss = np.random.SeedSequence(seed)
-    seed_spectral, seed_msg, seed_sweep = ss.spawn(3)
+    seed_spectral, _, seed_sweep = ss.spawn(3)
     # a random-init fallback warns; keep it in the result as well, and pass
     # every caught warning on to the caller's filters
     with warnings.catch_warnings(record=True) as caught:
@@ -584,10 +562,9 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
         if issubclass(w.category, UserWarning):
             fit_warnings.append(str(w.message))
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    state = BeliefState(graph, k_init, np.random.default_rng(seed_msg))
     confidence = 1.0 if penalty == "none" else START_CONFIDENCE
     params, beliefs = _soft_init(graph, labels0, k_init, confidence)
-    state.start_from(beliefs, params)
+    state = BeliefState(graph, beliefs, params)
     sweep_rng = np.random.default_rng(seed_sweep)
 
     trace = []

@@ -50,6 +50,13 @@ def _atomic_write(path, text):
 
 
 def _build_parser():
+    # the four stopping values of BPOptions, shared by fit and sweep
+    stopping = argparse.ArgumentParser(add_help=False)
+    stopping.add_argument("--tol-msg", type=float, default=bp.BPOptions.tol_msg)
+    stopping.add_argument("--tol-pi", type=float, default=bp.BPOptions.tol_pi)
+    stopping.add_argument("--max-sweeps", type=int, default=bp.BPOptions.max_sweeps)
+    stopping.add_argument("--max-outer", type=int, default=bp.BPOptions.max_outer)
+
     parser = argparse.ArgumentParser(prog="blockbp")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -61,7 +68,7 @@ def _build_parser():
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", required=True, help="edge-list path; labels go to <output>.labels")
 
-    fit = sub.add_parser("fit", help="fit one method and write the result")
+    fit = sub.add_parser("fit", parents=[stopping], help="fit one method and write the result")
     fit.add_argument("--input", required=True)
     fit.add_argument("--k-max", type=int, default=20)
     fit.add_argument("--seed", type=int, default=0)
@@ -70,22 +77,15 @@ def _build_parser():
     fit.add_argument("--mask-fraction", type=float, default=0.0,
                      help="hold out this fraction of all pairs before fitting; "
                           "records go to <output>.masked")
-    fit.add_argument("--tol-msg", type=float, default=1e-2)
-    fit.add_argument("--tol-pi", type=float, default=1e-8)
-    fit.add_argument("--max-sweeps", type=int, default=500)
-    fit.add_argument("--max-outer", type=int, default=200)
 
-    sweep = sub.add_parser("sweep", help="per-K criterion table over a K interval")
+    sweep = sub.add_parser("sweep", parents=[stopping],
+                           help="per-K criterion table over a K interval")
     sweep.add_argument("--input", required=True)
     sweep.add_argument("--method", choices=("icl", "cicl", "ffic", "fic"), default="cicl")
     sweep.add_argument("--sweep", required=True, metavar="A:B", type=_parse_sweep_range,
                        help="inclusive K interval")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--output", required=True)
-    sweep.add_argument("--tol-msg", type=float, default=1e-2)
-    sweep.add_argument("--tol-pi", type=float, default=1e-8)
-    sweep.add_argument("--max-sweeps", type=int, default=500)
-    sweep.add_argument("--max-outer", type=int, default=200)
 
     ev = sub.add_parser("eval", help="score a fit against held-out observations")
     ev.add_argument("--fit", required=True)
@@ -111,14 +111,19 @@ def _cmd_generate(args):
     return 0
 
 
-def _cmd_fit(args):
-    graph = parse_edge_list(_read(args.input))
-    opts = bp.BPOptions(
+def _options(args):
+    """BPOptions from the stopping flags; an out-of-range value raises ValueError."""
+    return bp.BPOptions(
         tol_msg=args.tol_msg,
         tol_pi=args.tol_pi,
         max_sweeps=args.max_sweeps,
         max_outer=args.max_outer,
     )
+
+
+def _cmd_fit(args):
+    graph = parse_edge_list(_read(args.input))
+    opts = _options(args)
     # a negative fraction goes to mask_pairs too, which rejects it
     if args.mask_fraction != 0.0:
         graph = mask_pairs(graph, args.mask_fraction, args.seed)
@@ -146,13 +151,7 @@ def _parse_sweep_range(text):
 def _cmd_sweep(args):
     graph = parse_edge_list(_read(args.input))
     k_range = args.sweep
-    opts = bp.BPOptions(
-        tol_msg=args.tol_msg,
-        tol_pi=args.tol_pi,
-        max_sweeps=args.max_sweeps,
-        max_outer=args.max_outer,
-    )
-    rows = evaluate.sweep_criteria(graph, k_range, args.seed, opts=opts)
+    rows = evaluate.sweep_criteria(graph, k_range, args.seed, opts=_options(args))
     attr = {"icl": "icl", "cicl": "cicl", "ffic": "ffic_lb", "fic": "fic"}[args.method]
     best_k = max(rows, key=lambda r: getattr(r[1], attr))[0]
     lines = ["k,ffic_lb,fic,icl,cicl,entropy,selected"]

@@ -156,13 +156,24 @@ def bethe_entropy(graph, state, params):
 # -- criterion values ---------------------------------------------------------------
 
 
-def _components(graph, state, params):
-    """Expected log-likelihood, moments and Bethe entropy at the clamped affinities.
+def ffic_lower_bound(graph, state, params):
+    """Lower bound of the fully marginalized log-likelihood at these beliefs.
 
-    Reading pi inside [EPS_P, 1 - EPS_P] (as the sweep does) keeps a hard 0
-    or 1 from the M-step from meeting soft belief weight as log(0).  Both
-    the expected log-likelihood's edge weights and the entropy read one
-    edge contraction.
+    The ffic_lb field of `criterion_report`.  The fit driver does not call
+    it: a fit's bound is the ffic_lb of its `FitResult.criteria`.
+    """
+    return criterion_report(graph, state, params).ffic_lb
+
+
+def criterion_report(graph, state, params):
+    """All criterion values from one shared pass over the beliefs.
+
+    ffic_lb and fic take the smoothed penalties (fic scales r1 by K(K+1)/2
+    and drops r2); icl is the hard MAP plug-in likelihood and cicl the
+    entropy-corrected soft one, each minus the dimension penalty.  The
+    expected log-likelihood and the entropy read pi inside [EPS_P, 1 - EPS_P]
+    (as the sweep does), so a hard 0 or 1 from the M-step cannot meet soft
+    belief weight as log(0); both read one edge contraction.
     """
     params = clamped(params)
     z, s = state.edge_contraction(params)
@@ -172,35 +183,6 @@ def _components(graph, state, params):
     expected_ll = expected_joint_log_likelihood(graph, b, params, edge_sum)
     moments = state.moments()
     entropy = _bethe_entropy(graph, state, params.pi, z)
-    return expected_ll, moments, entropy
-
-
-def ffic_lower_bound(graph, state, params):
-    """Lower bound of the fully marginalized log-likelihood at these beliefs.
-
-    The ffic_lb field of criterion_report, without the hard-assignment pass
-    that icl needs.  The fit driver does not call it: a fit's bound is the
-    ffic_lb of its `FitResult.criteria`.
-    """
-    expected_ll, moments, entropy = _components(graph, state, params)
-    k = state.k_active
-    return (
-        expected_ll
-        - r1_tilde(moments.zbar, graph.n)
-        - r2_tilde(moments.zzbar, graph.n)
-        - ell_tilde(graph.n, k)
-        + entropy
-    )
-
-
-def criterion_report(graph, state, params):
-    """All criterion values from one shared pass over the beliefs.
-
-    ffic_lb and fic take the smoothed penalties (fic scales r1 by K(K+1)/2
-    and drops r2); icl is the hard MAP plug-in likelihood and cicl the
-    entropy-corrected soft one, each minus the dimension penalty.
-    """
-    expected_ll, moments, entropy = _components(graph, state, params)
     n, k = graph.n, state.k_active
     r1 = r1_tilde(moments.zbar, n)
     r2 = r2_tilde(moments.zzbar, n)

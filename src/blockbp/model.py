@@ -43,16 +43,6 @@ class Params:
     def k(self):
         return self.gamma.shape[0]
 
-    def validate(self):
-        if np.any(self.gamma < 0) or abs(self.gamma.sum() - 1.0) > 1e-12:
-            raise ValueError("gamma must be a simplex (sum 1 within 1e-12)")
-        if self.pi.shape != (self.k, self.k):
-            raise ValueError("pi must be K x K")
-        if np.max(np.abs(self.pi - self.pi.T), initial=0.0) > 1e-12:
-            raise ValueError("pi must be symmetric within 1e-12")
-        if np.any(self.pi < 0) or np.any(self.pi > 1):
-            raise ValueError("pi entries must lie in [0, 1]")
-
 
 @dataclass
 class NaturalParams:
@@ -108,10 +98,6 @@ class HessianBlocks:
     f_theta: np.ndarray
     f_eta: np.ndarray
     index: list = field(default_factory=list)
-
-    def entry(self, k, l):
-        k, l = min(k, l), max(k, l)
-        return self.f_theta[self.index.index((k, l))]
 
 
 def triangular_index(k_total):

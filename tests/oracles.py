@@ -192,6 +192,29 @@ def dec_ell_tilde(n, k):
     return (k_d - 1) / 2 * Decimal(n).ln() + k_d * (k_d + 1) / 4 * (n_d * (n_d + 1) / 2).ln()
 
 
+def random_state(graph, k, rng):
+    """A BeliefState at K=k with random messages and node beliefs drawn from rng.
+
+    Each message of edge row r (i->j, then j->i) and then each node belief
+    is drawn uniform on [0.1, 1) per cluster and normalised.  h is the
+    column sum of the beliefs and zzbar_cache is zero until
+    refresh_moments runs.
+    """
+    from blockbp import BeliefState, Params
+
+    uniform = Params(np.full(k, 1.0 / k), np.full((k, k), 0.5))
+    state = BeliefState(graph, np.full((graph.n, k), 1.0 / k), uniform)
+    draws = rng.uniform(0.1, 1.0, size=(state.m_directed, k))
+    draws /= draws.sum(axis=1, keepdims=True)
+    state.messages[state.forward] = draws[0::2]
+    state.messages[state.reverse] = draws[1::2]
+    state.node_belief = rng.uniform(0.1, 1.0, size=(graph.n, k))
+    state.node_belief /= state.node_belief.sum(axis=1, keepdims=True)
+    state.h = state.node_belief.sum(axis=0)
+    state.zzbar_cache = np.zeros((k, k))
+    return state
+
+
 def per_node_sweep(state, params, order, damping, include_field=False, live_prior=False):
     """One penalty-free BP sweep, node by node, over state's colour classes in `order`.
 

@@ -13,7 +13,6 @@ import pytest
 
 from blockbp import (
     BPOptions,
-    BeliefState,
     Graph,
     Params,
     adjusted_rand_index,
@@ -30,7 +29,7 @@ from blockbp import (
 )
 from blockbp.evaluate import fit_with_method, masked_prediction_run
 from blockbp.model import Moments, bicluster_counts, expected_ll_from_moments, label_counts
-from oracles import Enumeration
+from oracles import Enumeration, random_state
 
 
 def report(cid, description, ok, detail=""):
@@ -238,7 +237,7 @@ def test_criterion_5_bp_exact_on_trees(monkeypatch):
         pi = (pi + pi.T) / 2
         params = Params(gamma, pi)
         opts = BPOptions(tol_msg=1e-13, max_sweeps=500)
-        state = BeliefState(g, 2, np.random.default_rng(trial))
+        state = random_state(g, 2, np.random.default_rng(trial))
         state, _, info = fabbp_run(g, params, state, opts, np.random.default_rng(trial + 1), "none")
         enum = Enumeration(g, params, include_nonedges=False)
         worst_marginal = max(worst_marginal, float(np.max(np.abs(state.node_belief - enum.node_marginals))))
@@ -263,11 +262,11 @@ def test_criterion_6_penalty_positive_and_prunes():
             n, np.full(k, 1 / k), np.full((k, k), float(rng.uniform(0.05, 0.5))),
             seed=int(rng.integers(10_000)),
         )
-        state = BeliefState(g, k, np.random.default_rng(int(rng.integers(10_000))))
+        state = random_state(g, k, np.random.default_rng(int(rng.integers(10_000))))
         params = Params(np.full(k, 1 / k), np.full((k, k), 0.3))
         state.refresh_moments(params)
-        terms = compute_penalty(state, int(rng.integers(n)))
-        min_lambda = min(min_lambda, float(terms.lam.min()))
+        lam = compute_penalty(state, int(rng.integers(n)))
+        min_lambda = min(min_lambda, float(lam.min()))
     positive = min_lambda > 0
 
     n = 400
@@ -310,7 +309,7 @@ def test_criterion_8_sweep_time_linear_in_edges():
         pi = np.full((4, 4), 0.2 * c / n)
         np.fill_diagonal(pi, 3.4 * c / n)
         g, _ = generate_sbm(n, np.full(4, 0.25), pi, seed)
-        state = BeliefState(g, 8, np.random.default_rng(seed))
+        state = random_state(g, 8, np.random.default_rng(seed))
         params = Params(np.full(8, 1 / 8), np.full((8, 8), g.m / g.num_pairs))
         opts = BPOptions(max_sweeps=1, tol_msg=0.0)
         rng = np.random.default_rng(seed + 1)

@@ -21,12 +21,11 @@ from blockbp import (
 from blockbp import bp, criteria, evaluate
 from blockbp.bp import (
     MessageUnderflowError,
-    PenaltyTerms,
     fit_result_from_json,
     fit_result_to_json,
 )
 from blockbp.model import hard_moments, m_step
-from oracles import Enumeration, dec_log, per_node_sweep
+from oracles import Enumeration, dec_log, per_node_sweep, random_state
 
 
 def path_graph(n):
@@ -34,7 +33,7 @@ def path_graph(n):
 
 
 def fresh_state(graph, k, seed=0):
-    return BeliefState(graph, k, np.random.default_rng(seed))
+    return random_state(graph, k, np.random.default_rng(seed))
 
 
 def two_cliques(size=25):
@@ -67,9 +66,7 @@ def one_sweep(graph, params, state, penalty):
 
 def constant_penalty(lam):
     """compute_penalty stand-in giving every node the penalty vector lam."""
-    return lambda state, nodes, mode, lists=None: PenaltyTerms(
-        np.tile(lam, (len(nodes), 1)), None, None
-    )
+    return lambda state, nodes, mode, lists=None: np.tile(lam, (len(nodes), 1))
 
 
 def no_field(params, zbar, n):
@@ -234,8 +231,8 @@ class TestColourClasses:
     def test_colouring_draws_nothing_from_the_rng(self):
         g = isolated_selfloop_graph()
         rng = np.random.default_rng(5)
-        state = BeliefState(g, 3, rng)
-        # the message and belief draws are all the constructor takes
+        state = random_state(g, 3, rng)
+        # the message and belief draws are all the state takes
         reference = np.random.default_rng(5)
         reference.uniform(size=(state.m_directed, 3))
         reference.uniform(size=(g.n, 3))
@@ -287,16 +284,15 @@ class TestComputePenalty:
         state.h = state.node_belief.sum(axis=0)
         params = Params(np.array([1.0]), np.array([[0.2]]))
         state.refresh_moments(params)
-        terms = compute_penalty(state, 3)
+        lam = compute_penalty(state, 3)
         d = 2  # degree of node 3
         t = 10.0  # h - b + 1
         big_t = 2 * 9 - d + 1  # n^2 * zzbar - own contribution + 1
         expected = float(
             (dec_log((t + 1) / t) + dec_log((big_t + d) / big_t)) / 2
         )
-        assert terms.lam[0] == pytest.approx(expected, abs=1e-12)
-        assert terms.t_excl[0] == pytest.approx(t)
-        assert terms.T_excl[0, 0] == pytest.approx(big_t)
+        assert lam[0] == pytest.approx(expected, abs=1e-12)
+        assert np.all(np.isfinite(lam)) and np.all(lam > 0)
 
     def test_penalty_strictly_positive(self):
         rng = np.random.default_rng(11)
@@ -307,10 +303,9 @@ class TestComputePenalty:
             state = fresh_state(g, k, seed=int(rng.integers(999)))
             params = Params(np.full(k, 1 / k), np.full((k, k), 0.3))
             state.refresh_moments(params)
-            terms = compute_penalty(state, int(rng.integers(n)))
-            assert np.all(terms.lam > 0)
-            assert np.all(terms.t_excl >= 1)
-            assert np.all(terms.T_excl >= 1)
+            lam = compute_penalty(state, int(rng.integers(n)))
+            assert np.all(lam > 0)
+            assert np.all(np.isfinite(lam))
 
     def test_cluster_size_term_vanishes_with_n(self):
         # proportion-penalty term decreases toward zero as n grows
@@ -339,12 +334,12 @@ class TestComputePenalty:
         params = Params(np.full(4, 0.25), np.full((4, 4), 4.0 / n))
         state.refresh_moments(params)
         node = 17
-        terms = compute_penalty(state, node)
+        lam = compute_penalty(state, node)
         nbr = state.neighbor_belief_sum(node)
         simple = 0.5 * np.log1p(1.0 / state.h) + 0.5 * np.log1p(
             nbr[None, :] / np.clip(n * n * state.zzbar_cache, 1.0, None)
         ).sum(axis=1)
-        rel = np.abs(terms.lam - simple) / np.abs(terms.lam)
+        rel = np.abs(lam - simple) / np.abs(lam)
         assert rel.max() < 0.01
 
     def test_fic_mode_scales_cluster_term(self):
@@ -357,7 +352,7 @@ class TestComputePenalty:
         b = state.node_belief[node]
         t = np.clip(state.h - b + 1.0, 1.0, None)
         expected = (k * (k + 1) / 2) * 0.5 * np.log1p(1.0 / t)
-        lam = compute_penalty(state, node, "fic").lam
+        lam = compute_penalty(state, node, "fic")
         assert lam == pytest.approx(expected, rel=1e-12)
 
     def test_node_array_matches_scalar_calls(self):
@@ -369,11 +364,9 @@ class TestComputePenalty:
             batch = compute_penalty(state, nodes, mode)
             for row, node in enumerate(nodes):
                 single = compute_penalty(state, int(node), mode)
-                assert single.lam.shape == (3,)
-                assert batch.lam[row] == pytest.approx(single.lam, rel=1e-15)
-                if mode == "fab":
-                    assert single.T_excl.shape == (3, 3)
-                    assert batch.T_excl[row] == pytest.approx(single.T_excl, rel=1e-15)
+                assert single.shape == (3,)
+                assert batch[row] == pytest.approx(single, rel=1e-15)
+                assert np.all(np.isfinite(single)) and np.all(single > 0)
 
 
 class TestFabbpRun:
@@ -417,7 +410,7 @@ class TestFabbpRun:
         opts = BPOptions(max_sweeps=1, tol_msg=0.0)
         state, working, _ = fabbp_run(g, params, state, opts, np.random.default_rng(4))
         assert state.k_active == 1
-        assert state.removed == [1]
+        assert working.gamma.tolist() == [0.999]
         assert working.k == 1
 
     def test_planted_two_blocks_from_eight(self):
@@ -428,13 +421,24 @@ class TestFabbpRun:
         assert fit.selected_k in (2, 3)
         assert adjusted_rand_index(fit.map_assignment, planted.labels) >= 0.9
 
-    def test_incremental_zbar_drift_bounded(self):
+    def test_incremental_zbar_drift_bounded(self, monkeypatch):
+        # at each sweep boundary the incremental h may differ from the exact
+        # summed beliefs only by rounding, relative to n
         g, _ = generate_sbm(150, [0.5, 0.5], np.full((2, 2), 0.08), seed=5)
         params = Params(np.array([0.5, 0.5]), np.full((2, 2), 0.08))
         state = fresh_state(g, 2, seed=6)
+        drifts = []
+        refresh = BeliefState.refresh_moments
+
+        def recording(state, params):
+            drifts.append(float(np.max(np.abs(state.h - state.node_belief.sum(axis=0)) / state.n)))
+            return refresh(state, params)
+
+        monkeypatch.setattr(BeliefState, "refresh_moments", recording)
         opts = BPOptions(tol_msg=0.0, max_sweeps=10)
         state, _, _ = fabbp_run(g, params, state, opts, np.random.default_rng(7))
-        assert max(state.drift_log) < 1e-6
+        assert len(drifts) == 10
+        assert max(drifts) < 1e-6
 
     def test_rejects_unknown_penalty_mode(self):
         g = path_graph(4)
@@ -585,13 +589,13 @@ class TestFitDrivers:
         spectral_seed = np.random.SeedSequence(seed).spawn(3)[0].generate_state(1)[0]
         labels, hard_params = spectral_init(g, k, spectral_seed)
         starts = []
-        start_from = BeliefState.start_from
+        init = BeliefState.__init__
 
-        def recording(state, beliefs, params):
+        def recording(state, graph, beliefs, params):
             starts.append((np.array(beliefs), params))
-            return start_from(state, beliefs, params)
+            init(state, graph, beliefs, params)
 
-        monkeypatch.setattr(BeliefState, "start_from", recording)
+        monkeypatch.setattr(BeliefState, "__init__", recording)
         fit_method(g, k, seed)
         assert len(starts) == 1
         beliefs, params = starts[0]
