@@ -45,6 +45,7 @@ from .model import (
     EPS_P,
     Moments,
     Params,
+    belief_moments,
     clamped,
     m_step,
     pair_mass,
@@ -306,8 +307,6 @@ class BeliefState:
         top = int(np.argmax(self.h))
         if top not in keep:
             keep = np.sort(np.append(keep, top))
-        if keep.size == 0:
-            raise AssertionError("pruning removed every cluster")
 
         self.messages = self.messages[:, keep]
         norm = np.clip(self.messages.sum(axis=1, keepdims=True), 1e-300, None)
@@ -404,7 +403,7 @@ def _update_class(state, cls, params, penalty):
     return float(np.abs(deltas).sum())
 
 
-def fabbp_run(graph, params, state, opts, rng=None, penalty="fab"):
+def fabbp_run(params, state, opts, rng, penalty):
     """Run penalized (or plain) BP sweeps until the messages settle.
 
     Each sweep visits the colour classes of state.classes in an order drawn
@@ -422,8 +421,6 @@ def fabbp_run(graph, params, state, opts, rng=None, penalty="fab"):
     """
     if penalty not in ("none", "fab", "fic"):
         raise ValueError(f"unknown penalty mode {penalty!r}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     working = Params(
         np.asarray(params.gamma, dtype=np.float64), np.asarray(params.pi, dtype=np.float64)
     )
@@ -490,7 +487,7 @@ class FitResult:
 
 def _soft_init(graph, labels, k, confidence=START_CONFIDENCE):
     """Spectral responsibilities, mixed with the uniform distribution, and
-    their closed-form parameters.
+    the M-step of their product-form moments (`model.belief_moments`).
 
     Each node's row is confidence on its label plus (1 - confidence) / k on
     every cluster.  Penalized fits use START_CONFIDENCE (0.45): the mix keeps
@@ -506,13 +503,7 @@ def _soft_init(graph, labels, k, confidence=START_CONFIDENCE):
     n = graph.n
     b = np.full((n, k), (1.0 - confidence) / k)
     b[np.arange(n), labels] += confidence
-    moments = Moments(
-        b.mean(axis=0),
-        pair_mass(graph.edges, b, n),
-        n,
-        masked_mass=pair_mass(graph.masked_index, b, n),
-    )
-    params, _ = m_step(moments)
+    params, _ = m_step(belief_moments(graph, b))
     return params, b
 
 
@@ -557,7 +548,7 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
     # every caught warning on to the caller's filters
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        labels0, _ = spectral_init(graph, k_init, seed_spectral.generate_state(1)[0])
+        labels0 = spectral_init(graph, k_init, seed_spectral.generate_state(1)[0])
     for w in caught:
         if issubclass(w.category, UserWarning):
             fit_warnings.append(str(w.message))
@@ -573,7 +564,7 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
     outers_since_best = 0
     for outer in range(opts.max_outer):
         k_before = state.k_active
-        state, params, info = fabbp_run(graph, params, state, opts, sweep_rng, penalty)
+        state, params, info = fabbp_run(params, state, opts, sweep_rng, penalty)
         moments = state.moments()
         new_params, _ = m_step(moments)
         entry = {

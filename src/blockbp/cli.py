@@ -81,7 +81,7 @@ def _build_parser():
     sweep = sub.add_parser("sweep", parents=[stopping],
                            help="per-K criterion table over a K interval")
     sweep.add_argument("--input", required=True)
-    sweep.add_argument("--method", choices=("icl", "cicl", "ffic", "fic"), default="cicl")
+    sweep.add_argument("--method", choices=tuple(evaluate.CRITERION_FIELDS), default="cicl")
     sweep.add_argument("--sweep", required=True, metavar="A:B", type=_parse_sweep_range,
                        help="inclusive K interval")
     sweep.add_argument("--seed", type=int, default=0)
@@ -152,8 +152,7 @@ def _cmd_sweep(args):
     graph = parse_edge_list(_read(args.input))
     k_range = args.sweep
     rows = evaluate.sweep_criteria(graph, k_range, args.seed, opts=_options(args))
-    attr = {"icl": "icl", "cicl": "cicl", "ffic": "ffic_lb", "fic": "fic"}[args.method]
-    best_k = max(rows, key=lambda r: getattr(r[1], attr))[0]
+    best_k, _, _ = evaluate.best_row(rows, args.method)
     lines = ["k,ffic_lb,fic,icl,cicl,entropy,selected"]
     for k, report, _fit in rows:
         mark = "*" if k == best_k else ""

@@ -75,6 +75,9 @@ def adjusted_rand_index(a, b):
 
 # -- method dispatch -----------------------------------------------------------
 
+# the CriterionReport field each per-K selection method maximizes
+CRITERION_FIELDS = {"icl": "icl", "cicl": "cicl", "ffic": "ffic_lb", "fic": "fic"}
+
 
 def sweep_criteria(graph, k_range, seed, opts=None):
     """Fixed-K fits over an inclusive K range, with all criterion values.
@@ -89,12 +92,20 @@ def sweep_criteria(graph, k_range, seed, opts=None):
     return rows
 
 
+def best_row(rows, method):
+    """The row of `sweep_criteria` whose report maximizes the method's
+    criterion (see CRITERION_FIELDS); the first one among ties."""
+    field = CRITERION_FIELDS[method]
+    return max(rows, key=lambda row: getattr(row[1], field))
+
+
 def fit_with_method(graph, method, k_max, seed, opts=None, sweep_range=None):
     """Run one model-selection method end to end and return its FitResult.
 
     One-pass methods (f2ab, fic-bp) start at k_max and prune; sweep methods
     (icl, cicl) fit every K in sweep_range (default 1..k_max) with plain BP
-    and return the fit maximizing their criterion.
+    and return the fit maximizing their criterion.  An empty K range (k_max
+    below 1) raises ValueError, as a one-pass k_max below 1 does.
     """
     if method == "f2ab":
         return bp.f2ab_fit(graph, k_max, seed, opts=opts)
@@ -102,11 +113,11 @@ def fit_with_method(graph, method, k_max, seed, opts=None, sweep_range=None):
         return bp.fic_bp_fit(graph, k_max, seed, opts=opts)
     if method in ("icl", "cicl"):
         k_range = sweep_range if sweep_range is not None else range(1, k_max + 1)
-        rows = sweep_criteria(graph, k_range, seed, opts=opts)
-        key = (lambda r: r[1].icl) if method == "icl" else (lambda r: r[1].cicl)
-        best = max(rows, key=key)
-        best[2].method = method
-        return best[2]
+        if not k_range:
+            raise ValueError(f"cluster count must be >= 1, got {k_range.stop - 1}")
+        _, _, best = best_row(sweep_criteria(graph, k_range, seed, opts=opts), method)
+        best.method = method
+        return best
     raise ValueError(f"unknown method: {method}")
 
 

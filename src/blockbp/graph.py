@@ -2,8 +2,8 @@
 
 Node pairs are unordered with i <= j throughout; self-loops are allowed and
 count once, so a graph on n nodes has n*(n+1)/2 possible pairs.  Masking
-removes pairs from every training view (edge set, adjacency, likelihood
-accounting) while recording the observed bit for held-out evaluation.
+removes pairs from the training edges and the likelihood accounting while
+recording the observed bit for held-out evaluation.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ class Graph:
         pairs from here through `model.pair_mass`.
     """
 
-    __slots__ = (
-        "n", "edges", "masked", "masked_index", "node_ids", "_adj", "_edge_set", "_degrees"
-    )
+    __slots__ = ("n", "edges", "masked", "masked_index", "node_ids", "_degrees")
 
     def __init__(self, n, edges, masked=None, node_ids=None):
         n = int(n)
@@ -96,8 +94,6 @@ class Graph:
         self.masked_index = pairs[np.argsort(keys)]
         self.masked_index.setflags(write=False)
         self.node_ids = list(node_ids) if node_ids is not None else None
-        self._adj = None
-        self._edge_set = None
         self._degrees = None
 
     # -- basic accessors ---------------------------------------------------
@@ -111,37 +107,6 @@ class Graph:
     def num_pairs(self):
         """Size of the unordered pair universe n*(n+1)/2."""
         return self.n * (self.n + 1) // 2
-
-    @property
-    def self_loop_count(self):
-        if self.m == 0:
-            return 0
-        return int(np.count_nonzero(self.edges[:, 0] == self.edges[:, 1]))
-
-    @property
-    def edge_set(self):
-        if self._edge_set is None:
-            self._edge_set = {(int(i), int(j)) for i, j in self.edges}
-        return self._edge_set
-
-    def has_edge(self, i, j):
-        return (min(i, j), max(i, j)) in self.edge_set
-
-    def neighbors(self, i):
-        """Sorted neighbor array of node i; self-loops do not list i itself."""
-        return self.adjacency[i]
-
-    @property
-    def adjacency(self):
-        """Per-node sorted neighbor arrays over non-self-loop training edges."""
-        if self._adj is None:
-            buckets = [[] for _ in range(self.n)]
-            for i, j in self.edges:
-                if i != j:
-                    buckets[i].append(j)
-                    buckets[j].append(i)
-            self._adj = [np.array(sorted(b), dtype=np.int64) for b in buckets]
-        return self._adj
 
     @property
     def degrees(self):

@@ -9,7 +9,6 @@ non-edge contributions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,16 +155,25 @@ def bicluster_counts(graph, labels, k):
     return e, c
 
 
+def belief_moments(graph, beliefs):
+    """Product-form sufficient statistics of an (n, K) belief matrix.
+
+    Each training edge and each masked pair takes the product of its two
+    node beliefs (see `pair_mass`); on one-hot rows this is exact.
+    """
+    n = graph.n
+    b = np.asarray(beliefs, dtype=np.float64)
+    return Moments(
+        b.sum(axis=0) / n,
+        pair_mass(graph.edges, b, n),
+        n,
+        masked_mass=pair_mass(graph.masked_index, b, n),
+    )
+
+
 def hard_moments(graph, labels, k):
     """Sufficient statistics of a hard assignment on the training graph."""
-    n = graph.n
-    onehot = np.eye(k)[np.asarray(labels, dtype=np.int64)]
-    return Moments(
-        onehot.sum(axis=0) / n,
-        pair_mass(graph.edges, onehot, n),
-        n,
-        masked_mass=pair_mass(graph.masked_index, onehot, n),
-    )
+    return belief_moments(graph, np.eye(k)[np.asarray(labels, dtype=np.int64)])
 
 
 # -- likelihoods -------------------------------------------------------------
@@ -350,25 +358,3 @@ def hessian_blocks(labels, params, n):
     g = params.gamma[:-1]
     f_eta = n * (np.diag(g) - np.outer(g, g))
     return HessianBlocks(f_theta, f_eta, index=idx)
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def params_to_json(params):
-    return json.dumps(
-        {
-            "k": params.k,
-            "gamma": params.gamma.tolist(),
-            "pi": params.pi.reshape(-1).tolist(),
-        },
-        indent=None,
-    )
-
-
-def params_from_json(text):
-    obj = json.loads(text)
-    k = int(obj["k"])
-    gamma = np.array(obj["gamma"], dtype=np.float64)
-    pi = np.array(obj["pi"], dtype=np.float64).reshape(k, k)
-    return Params(gamma, pi)

@@ -22,7 +22,8 @@ k-means (Krzakala et al., PNAS 2013; Le, Levina & Vershynin, 2017).  When
 fewer than two columns clear the edge, all columns are clustered.  The
 row-normalized embedding goes to k-means with k-means++ seeding, best of
 KMEANS_RESTARTS restarts; a Lloyd step is one GEMM for the distances
-||c||^2 - 2 x c^T and one for the centroid sums onehot^T x.
+||c||^2 - 2 x c^T and one for the centroid sums onehot^T x.  Only the labels
+are returned: the fit builds its start beliefs and parameters from them.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-
-from .model import hard_moments, m_step
 
 EIG_TOL = 1e-2  # largest column 2-norm of the Ritz residual at which the iteration stops
 CHEB_DEGREE = 8  # sparse products per filtered step
@@ -151,14 +150,12 @@ def kmeans(x, k, rng):
 
 
 def spectral_init(graph, k, seed):
-    """Spectral hard assignment and the matching closed-form parameters.
+    """Spectral hard assignment: an (n,) array of labels in [0, k).
 
-    Returns (labels, params) where params come from the M-step on the hard
-    assignment's sufficient statistics.  k-means clusters the rows of the
-    Ritz vectors above the bulk edge (all of them when fewer than two clear
-    it; see the module docstring).  Labels are drawn at random when
-    the graph has no edges, or (with a warning) when the eigen-iteration
-    stops above EIG_TOL.
+    k-means clusters the rows of the Ritz vectors above the bulk edge (all
+    of them when fewer than two clear it; see the module docstring).  Labels
+    are drawn at random when the graph has no edges, or (with a warning)
+    when the eigen-iteration stops above EIG_TOL.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -180,5 +177,4 @@ def spectral_init(graph, k, seed):
             warnings.warn("spectral eigen-iteration did not converge; random init")
     if labels is None:
         labels = rng.integers(0, k, size=n)
-    params, _ = m_step(hard_moments(graph, labels, k))
-    return labels, params
+    return labels

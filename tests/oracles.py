@@ -26,6 +26,11 @@ def all_pairs(n):
             yield i, j
 
 
+def edge_set(graph):
+    """The training edges as a set of (i, j) tuples, i <= j."""
+    return {(int(i), int(j)) for i, j in graph.edges}
+
+
 def masked_selfloop_graph():
     """n=7 graph with self-loops whose mask holds a self-pair that was a
     self-loop, a self-pair that was not, a former edge and two non-edges."""
@@ -40,14 +45,14 @@ def bicluster_counts_bruteforce(graph, labels, k):
     """Training-edge, available-pair and masked-pair counts per bicluster,
     walking every unordered pair; symmetric (K, K) arrays."""
     e, c, held = np.zeros((k, k)), np.zeros((k, k)), np.zeros((k, k))
-    edge_set = graph.edge_set
+    edges = edge_set(graph)
     for i, j in all_pairs(graph.n):
         a, b = sorted((labels[i], labels[j]))
         if (i, j) in graph.masked:
             held[a, b] += 1
             continue
         c[a, b] += 1
-        if (i, j) in edge_set:
+        if (i, j) in edges:
             e[a, b] += 1
     return tuple(x + np.triu(x, 1).T for x in (e, c, held))
 
@@ -55,12 +60,12 @@ def bicluster_counts_bruteforce(graph, labels, k):
 def joint_ll_bruteforce(graph, labels, params):
     """Pair-by-pair evaluation of the hard-assignment log-likelihood."""
     total = 0.0
-    edge_set = graph.edge_set
+    edges = edge_set(graph)
     for i, j in all_pairs(graph.n):
         if (i, j) in graph.masked:
             continue
         p = params.pi[labels[i], labels[j]]
-        if (i, j) in edge_set:
+        if (i, j) in edges:
             if p <= 0:
                 return float("-inf")
             total += np.log(p)
@@ -123,7 +128,7 @@ class Enumeration:
         self.graph = graph
         self.params = params
         n, k = graph.n, params.k
-        edge_set = graph.edge_set
+        edges = edge_set(graph)
         log_gamma = np.log(params.gamma)
         if field is not None:
             log_gamma = log_gamma + np.asarray(field)
@@ -137,7 +142,7 @@ class Enumeration:
             for i, j in all_pairs(n):
                 if (i, j) in graph.masked:
                     continue
-                if (i, j) in edge_set:
+                if (i, j) in edges:
                     w += log_pi[z[i], z[j]]
                 elif include_nonedges:
                     w += log_1mpi[z[i], z[j]]
@@ -311,11 +316,12 @@ def mask_pairs_reference(graph, fraction, seed):
     n = graph.n
     rng = np.random.default_rng(seed)
     idx = _sample_distinct_indices(rng, graph.num_pairs, math.ceil(fraction * graph.num_pairs))
+    edges = edge_set(graph)
     masked = dict(graph.masked)
     for r in sorted(idx.tolist()):
         i, j = pair_from_index_scalar(r, n)
         if (i, j) not in graph.masked:
-            masked[(i, j)] = 1 if (i, j) in graph.edge_set else 0
+            masked[(i, j)] = 1 if (i, j) in edges else 0
     keep = [(i, j) for i, j in graph.edges if (int(i), int(j)) not in masked]
     return Graph(n, keep, masked=masked, node_ids=graph.node_ids)
 

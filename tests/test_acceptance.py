@@ -5,11 +5,9 @@ captured output) before asserting, so a red run still reports every
 criterion's outcome.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from blockbp import (
     BPOptions,
@@ -28,7 +26,7 @@ from blockbp import (
     natural_from_mean,
 )
 from blockbp.evaluate import fit_with_method, masked_prediction_run
-from blockbp.model import Moments, bicluster_counts, expected_ll_from_moments, label_counts
+from blockbp.model import Moments, bicluster_counts, label_counts
 from oracles import Enumeration, random_state
 
 
@@ -238,7 +236,7 @@ def test_criterion_5_bp_exact_on_trees(monkeypatch):
         params = Params(gamma, pi)
         opts = BPOptions(tol_msg=1e-13, max_sweeps=500)
         state = random_state(g, 2, np.random.default_rng(trial))
-        state, _, info = fabbp_run(g, params, state, opts, np.random.default_rng(trial + 1), "none")
+        state, _, info = fabbp_run(params, state, opts, np.random.default_rng(trial + 1), "none")
         enum = Enumeration(g, params, include_nonedges=False)
         worst_marginal = max(worst_marginal, float(np.max(np.abs(state.node_belief - enum.node_marginals))))
         worst_entropy = max(
@@ -313,11 +311,11 @@ def test_criterion_8_sweep_time_linear_in_edges():
         params = Params(np.full(8, 1 / 8), np.full((8, 8), g.m / g.num_pairs))
         opts = BPOptions(max_sweeps=1, tol_msg=0.0)
         rng = np.random.default_rng(seed + 1)
-        fabbp_run(g, params, state, opts, rng, "fab")  # warm-up, not timed
+        fabbp_run(params, state, opts, rng, "fab")  # warm-up, not timed
 
         def sweep():
             t0 = time.perf_counter()
-            fabbp_run(g, params, state, opts, rng, "fab")
+            fabbp_run(params, state, opts, rng, "fab")
             return time.perf_counter() - t0
 
         return g.m, sweep

@@ -59,9 +59,9 @@ def every_node_linked_graph():
     return Graph(8, edges)
 
 
-def one_sweep(graph, params, state, penalty):
+def one_sweep(params, state, penalty):
     opts = BPOptions(max_sweeps=1, tol_msg=0.0)
-    return fabbp_run(graph, params, state, opts, np.random.default_rng(0), penalty)
+    return fabbp_run(params, state, opts, np.random.default_rng(0), penalty)
 
 
 def constant_penalty(lam):
@@ -124,7 +124,7 @@ class TestMessageUpdates:
         state.messages[:] = 1.0 / k
         state.node_belief[:] = 1.0 / k
         state.h = state.node_belief.sum(axis=0)
-        one_sweep(g, params, state, penalty="none")
+        one_sweep(params, state, penalty="none")
         assert state.messages == pytest.approx(np.full(state.messages.shape, 1 / k), abs=1e-12)
         assert state.node_belief == pytest.approx(np.full((4, k), 1 / k), abs=1e-12)
 
@@ -147,7 +147,7 @@ class TestMessageUpdates:
 
         monkeypatch.setattr(bp, "_update_class", recording)
         monkeypatch.setattr(bp, "compute_penalty", constant_penalty(np.zeros(2)))
-        one_sweep(g, params, state, penalty="fab")
+        one_sweep(params, state, penalty="fab")
         for end in (0, 2):
             leaf_to_centre = np.flatnonzero((state.src == end) & (state.dst == 1))[0]
             h = h_at_class_start[end]
@@ -163,7 +163,7 @@ class TestMessageUpdates:
         for lam in (np.zeros(2), np.array([3.7, 3.7])):
             state = fresh_state(g, 2, seed=1)
             monkeypatch.setattr(bp, "compute_penalty", constant_penalty(lam))
-            one_sweep(g, params, state, penalty="fab")
+            one_sweep(params, state, penalty="fab")
             runs.append(state)
         unpenalized, shifted = runs
         assert shifted.messages == pytest.approx(unpenalized.messages, abs=1e-12)
@@ -176,7 +176,7 @@ class TestMessageUpdates:
         for lam in (np.zeros(2), np.array([0.8, 0.0])):
             state = fresh_state(g, 2, seed=2)
             monkeypatch.setattr(bp, "compute_penalty", constant_penalty(lam))
-            one_sweep(g, params, state, penalty="fab")
+            one_sweep(params, state, penalty="fab")
             runs.append(state)
         base, penalized = runs
         assert np.all(penalized.messages[:, 0] < base.messages[:, 0])
@@ -189,7 +189,7 @@ class TestMessageUpdates:
         state = fresh_state(g, 2)
         state.messages[:] = np.nan
         with pytest.raises(MessageUnderflowError) as caught:
-            one_sweep(g, params, state, penalty=penalty)
+            one_sweep(params, state, penalty=penalty)
         i, j = caught.value.edge
         assert {i, j} == {0, 1}
         assert str(caught.value) == f"message underflow on edge {i}->{j}"
@@ -201,7 +201,7 @@ class TestMessageUpdates:
         params = Params(np.array([0.6, 0.4]), np.array([[0.7, 0.2], [0.2, 0.5]]))
         opts = BPOptions(tol_msg=1e-13, max_sweeps=300)
         state = fresh_state(g, 2, seed=5)
-        state, _, info = fabbp_run(g, params, state, opts, np.random.default_rng(6), "none")
+        state, _, info = fabbp_run(params, state, opts, np.random.default_rng(6), "none")
         enum = Enumeration(g, params, include_nonedges=False)
         assert np.max(np.abs(state.node_belief - enum.node_marginals)) < 1e-8
 
@@ -252,7 +252,7 @@ class TestColourClasses:
         if not include_field:
             monkeypatch.setattr(bp, "external_field", no_field)
         opts = BPOptions(max_sweeps=1, tol_msg=0.0)
-        fabbp_run(g, params, state, opts, np.random.default_rng(7), "fab" if penalized else "none")
+        fabbp_run(params, state, opts, np.random.default_rng(7), "fab" if penalized else "none")
         assert np.max(np.abs(state.messages - msgs)) < 1e-12
         assert np.max(np.abs(state.node_belief - beliefs)) < 1e-12
 
@@ -374,7 +374,7 @@ class TestFabbpRun:
         g, _ = generate_sbm(40, [1.0], np.array([[0.2]]), seed=1)
         params = Params(np.array([1.0]), np.array([[0.2]]))
         state = fresh_state(g, 1)
-        state, _, info = fabbp_run(g, params, state, BPOptions(), np.random.default_rng(0))
+        state, _, info = fabbp_run(params, state, BPOptions(), np.random.default_rng(0), "fab")
         assert info["sweeps"] <= 2 and info["converged"]
         assert state.zbar_cache == pytest.approx([1.0])
 
@@ -391,10 +391,10 @@ class TestFabbpRun:
         params, _ = _soft_init(g, labels4, 4)
         state = fresh_state(g, 4, seed=7)
         opts = BPOptions(tol_msg=0.0, max_sweeps=5)
-        state, _, _ = fabbp_run(g, params, state, opts, np.random.default_rng(8))
+        state, _, _ = fabbp_run(params, state, opts, np.random.default_rng(8), "fab")
         mass_at_5 = np.sort(state.h)[:2].sum()  # two smallest clusters
         opts = BPOptions(tol_msg=0.0, max_sweeps=15)
-        state, _, _ = fabbp_run(g, params, state, opts, np.random.default_rng(9))
+        state, _, _ = fabbp_run(params, state, opts, np.random.default_rng(9), "fab")
         mass_at_20 = np.sort(state.h)[:2].sum()
         assert mass_at_20 < mass_at_5
 
@@ -408,7 +408,7 @@ class TestFabbpRun:
         state.h = beliefs.sum(axis=0)
         params = Params(np.array([0.999, 0.001]), np.full((2, 2), 0.15))
         opts = BPOptions(max_sweeps=1, tol_msg=0.0)
-        state, working, _ = fabbp_run(g, params, state, opts, np.random.default_rng(4))
+        state, working, _ = fabbp_run(params, state, opts, np.random.default_rng(4), "fab")
         assert state.k_active == 1
         assert working.gamma.tolist() == [0.999]
         assert working.k == 1
@@ -436,7 +436,7 @@ class TestFabbpRun:
 
         monkeypatch.setattr(BeliefState, "refresh_moments", recording)
         opts = BPOptions(tol_msg=0.0, max_sweeps=10)
-        state, _, _ = fabbp_run(g, params, state, opts, np.random.default_rng(7))
+        state, _, _ = fabbp_run(params, state, opts, np.random.default_rng(7), "fab")
         assert len(drifts) == 10
         assert max(drifts) < 1e-6
 
@@ -444,7 +444,7 @@ class TestFabbpRun:
         g = path_graph(4)
         params = Params(np.array([0.5, 0.5]), np.full((2, 2), 0.3))
         with pytest.raises(ValueError, match="unknown penalty mode 'FAB'"):
-            fabbp_run(g, params, fresh_state(g, 2), BPOptions(), None, "FAB")
+            fabbp_run(params, fresh_state(g, 2), BPOptions(), np.random.default_rng(0), "FAB")
 
     def test_messages_stay_normalized(self):
         # one damped plain sweep, then one undamped penalized sweep
@@ -453,7 +453,7 @@ class TestFabbpRun:
         state = fresh_state(g, 2, seed=9)
         opts = BPOptions(max_sweeps=1, tol_msg=0.0)
         for penalty in ("none", "fab"):
-            state, _, info = fabbp_run(g, params, state, opts, np.random.default_rng(10), penalty)
+            state, _, info = fabbp_run(params, state, opts, np.random.default_rng(10), penalty)
             assert info["sweeps"] == 1
             assert np.all(state.messages >= 0.0)
             assert np.max(np.abs(state.messages.sum(axis=1) - 1.0)) <= 1e-9
@@ -587,7 +587,8 @@ class TestFitDrivers:
         pi = np.array([[20 / n, 2 / n], [2 / n, 20 / n]])
         g, _ = generate_sbm(n, [0.5, 0.5], pi, seed=9)
         spectral_seed = np.random.SeedSequence(seed).spawn(3)[0].generate_state(1)[0]
-        labels, hard_params = spectral_init(g, k, spectral_seed)
+        labels = spectral_init(g, k, spectral_seed)
+        hard_params, _ = m_step(hard_moments(g, labels, k))
         starts = []
         init = BeliefState.__init__
 

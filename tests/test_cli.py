@@ -2,7 +2,6 @@ import json
 import os
 import re
 
-import numpy as np
 import pytest
 
 from blockbp import evaluate
@@ -112,6 +111,15 @@ class TestFit:
         fit = fit_result_from_json(out.read_text())
         assert fit.method == "icl"
 
+    @pytest.mark.parametrize("method", ["f2ab", "fic-bp", "icl", "cicl"])
+    def test_k_max_below_one_exits_one(self, generated, tmp_path, capsys, method):
+        out = tmp_path / "fit.json"
+        code = run(["fit", "--input", str(generated), "--k-max", "0", "--seed", "0",
+                    "--method", method, "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: cluster count must be >= 1, got 0\n"
+        assert not out.exists()
+
 
 class TestSweep:
     def test_table_rows_and_best_mark(self, generated, tmp_path):
@@ -124,6 +132,21 @@ class TestSweep:
         assert len(lines) == 5
         stars = [ln for ln in lines[1:] if ln.endswith(",*")]
         assert len(stars) == 1
+
+    @pytest.mark.parametrize("method", ["icl", "cicl"])
+    def test_fit_selects_the_starred_k(self, generated, tmp_path, method):
+        # at seed 2 ffic_lb peaks at K=3 and fic at K=4, so the fit must
+        # read the same criterion column as the table
+        table, out = tmp_path / "table.csv", tmp_path / "fit.json"
+        code = run(["sweep", "--input", str(generated), "--method", method,
+                    "--sweep", "1:4", "--seed", "2", "--output", str(table)])
+        assert code == 0
+        code = run(["fit", "--input", str(generated), "--k-max", "4",
+                    "--seed", "2", "--method", method, "--output", str(out)])
+        assert code == 0
+        rows = [ln.split(",") for ln in table.read_text().strip().split("\n")[1:]]
+        starred = [int(row[0]) for row in rows if row[-1] == "*"]
+        assert starred == [fit_result_from_json(out.read_text()).selected_k]
 
     def test_caps_reach_every_fit(self, generated, tmp_path, monkeypatch):
         traces = []

@@ -248,7 +248,7 @@ class TestBetheEntropy:
             opts = BPOptions(tol_msg=1e-13, max_sweeps=500)
             state = random_state(g, 2, np.random.default_rng(trial))
             state, pw, info = fabbp_run(
-                g, params, state, opts, np.random.default_rng(trial + 1), "none"
+                params, state, opts, np.random.default_rng(trial + 1), "none"
             )
             enum = Enumeration(g, params, include_nonedges=False)
             assert np.max(np.abs(state.node_belief - enum.node_marginals)) < 1e-8
@@ -438,7 +438,7 @@ class TestCriteriaFromEdgeContraction:
         state.refresh_moments(params)
         opts = BPOptions(max_sweeps=3, tol_msg=0.0)
         state, params, info = fabbp_run(
-            g, params, state, opts, np.random.default_rng(seed + 1), "none"
+            params, state, opts, np.random.default_rng(seed + 1), "none"
         )
         assert info["sweeps"] == 3
         return state, m_step(state.moments())[0]

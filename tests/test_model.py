@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from blockbp import (
-    Graph,
     Moments,
     Params,
     expected_joint_log_likelihood,
@@ -22,8 +21,6 @@ from blockbp.model import (
     bicluster_counts,
     expected_ll_from_moments,
     hard_moments,
-    params_from_json,
-    params_to_json,
 )
 from oracles import (
     Enumeration,
@@ -380,15 +377,3 @@ class TestHessianBlocks:
                         + neg_ll(nat.theta, nat.eta - ei - ej)
                     ) / (4 * h**2)
                     assert fd == pytest.approx(blocks.f_eta[i, j], rel=2e-4, abs=1e-6)
-
-
-class TestParamsSerialization:
-    def test_roundtrip_bit_exact(self):
-        rng = np.random.default_rng(2)
-        gamma = rng.dirichlet([1, 1, 1])
-        pi = rng.uniform(0, 1, (3, 3))
-        pi = (pi + pi.T) / 2
-        params = Params(gamma, pi)
-        back = params_from_json(params_to_json(params))
-        assert np.array_equal(back.gamma, params.gamma)
-        assert np.array_equal(back.pi, params.pi)
