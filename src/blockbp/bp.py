@@ -28,7 +28,9 @@ Every fit starts from the spectral partition: `_soft_init` turns it into
 node beliefs and the first params, and `BeliefState(graph, beliefs, params)`
 sets every message i->j to b_i.  Penalized fits mix the partition with the
 uniform distribution (confidence START_CONFIDENCE) so that redundant
-clusters can still merge; plain fits never prune and take it one-hot.
+clusters can still merge; plain fits never prune and take it one-hot.  When
+spectral init has no partition, the labels are drawn at random and the fit
+records and warns about it.
 """
 
 from __future__ import annotations
@@ -117,14 +119,14 @@ def _normalize_rows(w, edge_of):
     return w
 
 
-def _greedy_colouring(n, src, dst):
+def _greedy_colouring(src, dst, degree):
     """Proper colouring of the message graph: each node, largest degree first,
-    takes the smallest colour no coloured neighbour holds; O(n + m)."""
+    takes the smallest colour no coloured neighbour holds; O(n + m).
+    degree[v] counts the messages into v."""
     by_dst = np.argsort(dst, kind="stable")
     neighbours = src[by_dst].tolist()
-    degree = np.bincount(dst, minlength=n)
     ptr = np.concatenate([[0], np.cumsum(degree)]).tolist()
-    colour = [-1] * n
+    colour = [-1] * degree.size
     for v in np.argsort(-degree, kind="stable").tolist():
         used = {colour[u] for u in neighbours[ptr[v] : ptr[v + 1]]}
         c = 0
@@ -189,7 +191,7 @@ class BeliefState:
         # and forward/reverse give the stored rows of each edge row's pair
         src = pairs.reshape(-1)
         dst = pairs[:, ::-1].reshape(-1)
-        colour = _greedy_colouring(self.n, src, dst)
+        colour = _greedy_colouring(src, dst, graph.degrees)
         order = np.lexsort((dst, colour[dst]))
         position = np.empty_like(order)
         position[order] = np.arange(2 * m)
@@ -198,9 +200,9 @@ class BeliefState:
         self.forward, self.reverse = position[0::2], position[1::2]
 
         # nodes in storage order: node v's in-messages are the in_count[v]
-        # rows from in_first[v]
+        # rows from in_first[v], one per non-self-loop edge at v
         by_colour = np.argsort(colour, kind="stable")
-        self.in_count = np.bincount(self.dst, minlength=self.n)
+        self.in_count = graph.degrees
         counts = self.in_count[by_colour]
         self.in_first = np.empty(self.n, dtype=np.int64)
         self.in_first[by_colour] = np.cumsum(counts) - counts
@@ -209,7 +211,6 @@ class BeliefState:
         self.classes = [self.in_lists(nodes) for nodes in np.split(by_colour, bounds)]
 
         self.node_belief = np.array(beliefs, dtype=np.float64)
-        self.k_active = self.node_belief.shape[1]
         self.messages = self.node_belief[self.src]
         # free the layout temporaries before the refresh's (m, K) arrays
         del pairs, src, dst, order, position, colour, by_colour, counts
@@ -227,6 +228,10 @@ class BeliefState:
         )
 
     # -- views ---------------------------------------------------------------
+
+    @property
+    def k_active(self):
+        return self.node_belief.shape[1]
 
     @property
     def zbar_cache(self):
@@ -316,7 +321,6 @@ class BeliefState:
         self.node_belief /= norm
         self.h = self.node_belief.sum(axis=0)
         self.zzbar_cache = self.zzbar_cache[np.ix_(keep, keep)]
-        self.k_active = keep.size
         return Params(params.gamma[keep], params.pi[np.ix_(keep, keep)])
 
 
@@ -421,10 +425,7 @@ def fabbp_run(params, state, opts, rng, penalty):
     """
     if penalty not in ("none", "fab", "fic"):
         raise ValueError(f"unknown penalty mode {penalty!r}")
-    working = Params(
-        np.asarray(params.gamma, dtype=np.float64), np.asarray(params.pi, dtype=np.float64)
-    )
-    sweep_params = clamped(working)
+    sweep_params = clamped(params)
     m_edges = max(state.m_directed // 2, 1)
 
     sweeps = 0
@@ -438,8 +439,8 @@ def fabbp_run(params, state, opts, rng, penalty):
         for c in rng.permutation(len(state.classes)):
             total_delta += _update_class(state, state.classes[c], sweep_params, penalty)
             if penalty != "none" and state.k_active > 1 and state.h.min() < PRUNE_SCALE:
-                working = state.prune_clusters(working)
-                sweep_params = clamped(working)
+                params = state.prune_clusters(params)
+                sweep_params = clamped(params)
 
         state.refresh_moments(sweep_params)
         mean_delta = total_delta / m_edges
@@ -460,7 +461,7 @@ def fabbp_run(params, state, opts, rng, penalty):
                     break
 
     info = {"sweeps": sweeps, "mean_delta": mean_delta, "converged": converged}
-    return state, working, info
+    return state, params, info
 
 
 # -- full fits ---------------------------------------------------------------------
@@ -523,7 +524,10 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
     every message.  Penalized fits soften the partition (START_CONFIDENCE) so
     that redundant clusters can still merge; plain fits keep K fixed and
     take it one-hot (confidence 1.0), which spares them the sweeps a random
-    start spends finding the partition.
+    start spends finding the partition.  When `spectral_init` returns None,
+    the labels are drawn at random from the second of the three seeds the
+    fit seed spawns; the fallback goes into `FitResult.warnings` and is
+    warned once.
     """
     from .spectral import spectral_init
 
@@ -538,21 +542,13 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
         fit_warnings.append(f"cluster count {k_init} exceeds n={graph.n}; clamped to {graph.n}")
         k_init = graph.n
 
-    # three children with the middle one unused: the sweep RNG stays the
-    # third child, so a seed gives the same sweep order, and the same
-    # fit.json, as in releases that drew random start messages from the
-    # middle one
-    ss = np.random.SeedSequence(seed)
-    seed_spectral, _, seed_sweep = ss.spawn(3)
-    # a random-init fallback warns; keep it in the result as well, and pass
-    # every caught warning on to the caller's filters
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        labels0 = spectral_init(graph, k_init, seed_spectral.generate_state(1)[0])
-    for w in caught:
-        if issubclass(w.category, UserWarning):
-            fit_warnings.append(str(w.message))
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    seed_spectral, seed_start, seed_sweep = np.random.SeedSequence(seed).spawn(3)
+    labels0 = spectral_init(graph, k_init, seed_spectral.generate_state(1)[0])
+    if labels0 is None:
+        message = "spectral eigen-iteration did not converge; random init"
+        fit_warnings.append(message)
+        warnings.warn(message, stacklevel=3)
+        labels0 = np.random.default_rng(seed_start).integers(0, k_init, size=graph.n)
     confidence = 1.0 if penalty == "none" else START_CONFIDENCE
     params, beliefs = _soft_init(graph, labels0, k_init, confidence)
     state = BeliefState(graph, beliefs, params)
@@ -573,7 +569,7 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
             "mean_delta": info["mean_delta"],
             "k_active": state.k_active,
         }
-        if state.k_active == k_before and new_params.k == params.k:
+        if state.k_active == k_before:
             delta_pi = float(np.max(np.abs(new_params.pi - params.pi)))
             entry["delta_pi"] = delta_pi
         else:

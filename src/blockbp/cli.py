@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -191,14 +192,14 @@ def _cmd_eval(args):
                 )
             labels = labels[order]
         ari = evaluate.adjusted_rand_index(fit.map_assignment, labels)
-    report = {
-        "npll": value,
-        "n_masked": len(masked),
-        "ari": ari,
-        "selected_k": fit.selected_k,
-        "runtime_seconds": time.perf_counter() - start,
-    }
-    _atomic_write(args.output, json.dumps(report) + "\n")
+    report = evaluate.EvalReport(
+        npll=value,
+        n_masked=len(masked),
+        ari=ari,
+        selected_k=fit.selected_k,
+        runtime_seconds=time.perf_counter() - start,
+    )
+    _atomic_write(args.output, json.dumps(asdict(report)) + "\n")
     print(f"npll={value:.6f} n_masked={len(masked)} selected_k={fit.selected_k}")
     return 0
 

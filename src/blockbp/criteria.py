@@ -31,6 +31,7 @@ from .model import (
     joint_log_likelihood,
     label_counts,
     m_step,
+    pair_capacity,
 )
 
 LOG_HALF = math.log(0.5)
@@ -181,11 +182,10 @@ def criterion_report(graph, state, params):
     # self-loop rows hold the diagonal belief diag(b_i)
     edge_sum = s + np.diag(b[state.self_loops[:, 0]].sum(axis=0))
     expected_ll = expected_joint_log_likelihood(graph, b, params, edge_sum)
-    moments = state.moments()
     entropy = _bethe_entropy(graph, state, params.pi, z)
     n, k = graph.n, state.k_active
-    r1 = r1_tilde(moments.zbar, n)
-    r2 = r2_tilde(moments.zzbar, n)
+    r1 = r1_tilde(state.zbar_cache, n)
+    r2 = r2_tilde(state.zzbar_cache, n)
     lt = ell_tilde(n, k)
     ffic = expected_ll - r1 - r2 - lt + entropy
     fic = expected_ll - (k * (k + 1) / 2.0) * r1 - lt + entropy
@@ -293,7 +293,7 @@ def joint_marginal_laplace(graph, labels, params_hat=None, k=None):
 
     ell_n = (k_zbar - 1) / 2.0 * math.log(n) + k_zz / 2.0 * math.log(n * (n + 1) / 2.0)
     m_star = n * n * float(np.min(zbar[occupied]) ** 2) if s_set else 0.0
-    m_bar = (n * n / 2.0) * (np.outer(zbar, zbar) + np.diag(zbar) / n)
+    m_bar = (n * n / 2.0) * pair_capacity(zbar, n)
     return JointMarginalTerms(
         max_ll=max_ll,
         r1=r1,

@@ -67,7 +67,8 @@ class Moments:
     bicluster statistic: off-diagonal entry (k, l) holds e_kl / n^2 and the
     diagonal holds 2 * e_kk / n^2, where e counts training edges per
     bicluster.  masked_mass stores the held-out pairs' share of the pair
-    universe in the same convention, for M-step denominator adjustment.
+    universe in the same convention, for M-step denominator adjustment;
+    it is zeros when none is given.
     """
 
     zbar: np.ndarray
@@ -78,8 +79,9 @@ class Moments:
     def __post_init__(self):
         self.zbar = np.asarray(self.zbar, dtype=np.float64)
         self.zzbar = np.asarray(self.zzbar, dtype=np.float64)
-        if self.masked_mass is not None:
-            self.masked_mass = np.asarray(self.masked_mass, dtype=np.float64)
+        k = self.zbar.shape[0]
+        mass = np.zeros((k, k)) if self.masked_mass is None else self.masked_mass
+        self.masked_mass = np.asarray(mass, dtype=np.float64)
 
     @property
     def k(self):
@@ -137,6 +139,17 @@ def pair_mass(pairs, beliefs, n):
     return mass / n**2
 
 
+def pair_capacity(zbar, n, masked_mass=0.0):
+    """Pair mass per bicluster in the zzbar convention, masked pairs excluded:
+    zbar zbar^T + diag(zbar) / n - masked_mass.
+
+    It is the denominator of the M-step's affinities.  With cluster counts
+    for zbar and n = 1 it counts available pairs, off-diagonal entries once
+    and diagonal entries twice (see `pair_mass`).
+    """
+    return np.outer(zbar, zbar) + np.diag(zbar) / n - masked_mass
+
+
 def bicluster_counts(graph, labels, k):
     """Edge counts and mask-adjusted pair counts per unordered bicluster.
 
@@ -145,13 +158,11 @@ def bicluster_counts(graph, labels, k):
     universe minus masked pairs).  Self-pairs belong to the diagonal.
     """
     onehot = np.eye(k)[np.asarray(labels, dtype=np.int64)]
-    counts = onehot.sum(axis=0)
     # pair_mass counts pairs within one cluster twice, on the diagonal
     half_diag = np.ones((k, k)) - 0.5 * np.eye(k)
     e = half_diag * pair_mass(graph.edges, onehot, 1)
-    c = np.outer(counts, counts)
-    np.fill_diagonal(c, counts * (counts + 1) / 2.0)
-    c -= half_diag * pair_mass(graph.masked_index, onehot, 1)
+    masked = pair_mass(graph.masked_index, onehot, 1)
+    c = half_diag * pair_capacity(onehot.sum(axis=0), 1, masked)
     return e, c
 
 
@@ -212,16 +223,17 @@ def joint_log_likelihood(graph, labels, params):
     return edge_part + non_part + prop_part
 
 
-def pairwise_weight_matrices(graph, node_beliefs, edge_belief_sum=None):
-    """Aggregate belief weights multiplying log(pi) and log(1 - pi).
+def expected_joint_log_likelihood(graph, node_beliefs, params, edge_belief_sum=None):
+    """Expectation of the joint log-likelihood under a belief factorization.
 
-    Edge pairs take `edge_belief_sum`, the (K, K) sum of the pairwise
-    beliefs over the rows of graph.edges (a self-loop row holds diag of its
-    node belief), or, when it is None, products of node beliefs.  Non-edge
-    pairs use products of node beliefs, evaluated in closed form over the
-    whole pair universe and corrected for edges and masked pairs.  Returns
-    (w_edge, w_non), both (K, K) with symmetric bicluster conventions
-    matching `bicluster_counts`.
+    Connected pairs take pairwise edge beliefs, passed as their (K, K) sum
+    `edge_belief_sum` over the rows of graph.edges (a self-loop row holds
+    diag of its node belief), or, when it is None, products of node
+    beliefs.  Unconnected pairs take the product of node beliefs (the same
+    factorization the sparse external-field message approximation assumes),
+    in closed form over the whole pair universe and corrected for edges and
+    masked pairs; proportions take node beliefs.  The pair weights follow
+    the bicluster conventions of `bicluster_counts`.
     """
     b = np.asarray(node_beliefs, dtype=np.float64)
     s = b.sum(axis=0)
@@ -236,24 +248,10 @@ def pairwise_weight_matrices(graph, node_beliefs, edge_belief_sum=None):
         pb = np.asarray(edge_belief_sum, dtype=np.float64)
         w_edge = 0.5 * (pb + pb.T)
     w_non = w_all - edge_mass - 0.5 * pair_mass(graph.masked_index, b, 1)
-    return w_edge, w_non
-
-
-def expected_joint_log_likelihood(graph, node_beliefs, params, edge_belief_sum=None):
-    """Expectation of the joint log-likelihood under a belief factorization.
-
-    Connected pairs take pairwise edge beliefs, passed as their (K, K) sum
-    over the rows of graph.edges (see `pairwise_weight_matrices`);
-    unconnected pairs take the product of node beliefs (the same
-    factorization the sparse external-field message approximation assumes);
-    proportions take node beliefs.
-    """
-    w_edge, w_non = pairwise_weight_matrices(graph, node_beliefs, edge_belief_sum)
-    b = np.asarray(node_beliefs, dtype=np.float64)
     tol = 1e-14
     edge_part = _safe_log_terms(np.where(w_edge > tol, w_edge, 0.0), params.pi)
     non_part = _safe_log_terms(np.where(w_non > tol, w_non, 0.0), 1.0 - params.pi)
-    prop_part = _safe_log_terms(np.where(b.sum(axis=0) > tol, b.sum(axis=0), 0.0), params.gamma)
+    prop_part = _safe_log_terms(np.where(s > tol, s, 0.0), params.gamma)
     return edge_part + non_part + prop_part
 
 
@@ -265,9 +263,7 @@ def expected_ll_from_moments(moments, params):
     D = zbar zbar^T + diag(zbar)/n - masked_mass; exact on hard statistics.
     """
     n = moments.n
-    d = np.outer(moments.zbar, moments.zbar) + np.diag(moments.zbar) / n
-    if moments.masked_mass is not None:
-        d = d - moments.masked_mass
+    d = pair_capacity(moments.zbar, n, moments.masked_mass)
     scale = n * n / 2.0
     edge_part = _safe_log_terms(scale * moments.zzbar, params.pi)
     non = scale * np.clip(d - moments.zzbar, 0.0, None)
@@ -290,9 +286,7 @@ def m_step(moments):
     zbar = np.clip(moments.zbar, 0.0, None)
     total = zbar.sum()
     gamma = zbar / total if total > 0 else np.full_like(zbar, 1.0 / zbar.shape[0])
-    d = np.outer(zbar, zbar) + np.diag(zbar) / n
-    if moments.masked_mass is not None:
-        d = d - moments.masked_mass
+    d = pair_capacity(zbar, n, moments.masked_mass)
     empty = zbar <= 0.0
     defined = (np.outer(zbar, zbar) > 0) & (d > 0)
     pi = np.full_like(d, EPS_P)
@@ -339,8 +333,9 @@ def mean_from_natural(nat):
 def hessian_blocks(labels, params, n):
     """Analytic diagonal blocks of the negative log-likelihood Hessian.
 
-    Affinity entries: mbar_kl * pi_kl * (1 - pi_kl) with
-    mbar_kl = (n^2/2) * zbar_k * (zbar_l + [k = l]/n); proportion block:
+    Affinity entries: mbar_kl * pi_kl * (1 - pi_kl) with mbar = (n^2/2) *
+    `pair_capacity`, mbar_kl = (n^2/2) * zbar_k * (zbar_l + [k = l]/n);
+    proportion block:
     n * (diag(gamma_<K) - gamma_<K gamma_<K^T).  Requires every cluster
     indexed by the params to be occupied.
     """
@@ -349,12 +344,8 @@ def hessian_blocks(labels, params, n):
     for c in range(k):
         if counts[c] == 0:
             raise EmptyClusterError(c)
-    zbar = counts / n
-    idx = triangular_index(k)
-    f_theta = np.empty(len(idx))
-    for pos, (a, b) in enumerate(idx):
-        mbar = (n * n / 2.0) * zbar[a] * (zbar[b] + (1.0 / n if a == b else 0.0))
-        f_theta[pos] = mbar * params.pi[a, b] * (1.0 - params.pi[a, b])
+    mbar = (n * n / 2.0) * pair_capacity(counts / n, n)
+    f_theta = (mbar * params.pi * (1.0 - params.pi))[np.triu_indices(k)]
     g = params.gamma[:-1]
     f_eta = n * (np.diag(g) - np.outer(g, g))
-    return HessianBlocks(f_theta, f_eta, index=idx)
+    return HessianBlocks(f_theta, f_eta, index=triangular_index(k))

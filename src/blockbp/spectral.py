@@ -10,7 +10,7 @@ Ritz value, then one QR and one Rayleigh-Ritz step.  It has one stopping
 rule: the largest column 2-norm of the Ritz residual op q - q diag(theta)
 falls below EIG_TOL (the columns have unit norm, so the rule does not
 depend on n), or EIG_MAX_ITERS filtered steps pass.  A subspace that stops
-above EIG_TOL is not used, and the labels are drawn at random.  Otherwise
+at or above EIG_TOL is not used, and no labels are returned.  Otherwise
 k-means clusters the Ritz vectors whose Ritz value clears the bulk edge of
 the operator, the semicircle edge 2 sigma with sigma^2 = tr(op^2) / n the
 mean squared eigenvalue.  For D_tau^{-1/2} A D_tau^{-1/2} at constant degree
@@ -27,8 +27,6 @@ are returned: the fit builds its start beliefs and parameters from them.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,8 +46,10 @@ def _normalized_adjacency(graph, tau):
     a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     a.sum_duplicates()
     a.data = np.minimum(a.data, 1.0)  # a self-loop stacks twice onto one cell
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    scale = 1.0 / np.sqrt(deg + tau)
+    root = np.sqrt(np.asarray(a.sum(axis=1)).ravel() + tau)
+    # an isolated node's row and column are empty, so its scale never enters
+    # the product; with only self-loops tau is 0 and its root would be 0
+    scale = np.divide(1.0, root, out=np.zeros(n), where=root > 0)
     d = sp.diags(scale)
     return d @ a @ d
 
@@ -128,8 +128,6 @@ def kmeans(x, k, rng):
     are allowed and simply keep their stale centroid.
     """
     n = x.shape[0]
-    if k == 1:
-        return np.zeros(n, dtype=np.int64), 0.0
     best_labels, best_cost = None, np.inf
     for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp_centers(x, k, rng)
@@ -150,31 +148,29 @@ def kmeans(x, k, rng):
 
 
 def spectral_init(graph, k, seed):
-    """Spectral hard assignment: an (n,) array of labels in [0, k).
+    """Spectral hard assignment: an (n,) array of labels in [0, k), or None.
 
     k-means clusters the rows of the Ritz vectors above the bulk edge (all
-    of them when fewer than two clear it; see the module docstring).  Labels
-    are drawn at random when the graph has no edges, or (with a warning)
-    when the eigen-iteration stops above EIG_TOL.
+    of them when fewer than two clear it; see the module docstring).  There
+    is no usable partition, and None is returned, when k > 1 and the graph
+    has no edges or the eigen-iteration stops at or above EIG_TOL; the
+    caller picks its own start then.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rng = np.random.default_rng(seed)
     n = graph.n
-    labels = None
     if k == 1:
-        labels = np.zeros(n, dtype=np.int64)
-    elif graph.m:
-        op = _normalized_adjacency(graph, float(graph.degree_sum()) / n)
-        q, residual, theta = orthogonal_iteration(op, n, min(k, n), rng)
-        if residual < EIG_TOL:
-            above = theta > _bulk_edge(op)
-            if above.sum() >= 2:
-                q = q[:, above]
-            embedding = q / np.clip(np.linalg.norm(q, axis=1, keepdims=True), 1e-12, None)
-            labels, _ = kmeans(embedding, k, rng)
-        else:
-            warnings.warn("spectral eigen-iteration did not converge; random init")
-    if labels is None:
-        labels = rng.integers(0, k, size=n)
+        return np.zeros(n, dtype=np.int64)
+    if not graph.m:
+        return None
+    rng = np.random.default_rng(seed)
+    op = _normalized_adjacency(graph, float(graph.degree_sum()) / n)
+    q, residual, theta = orthogonal_iteration(op, n, min(k, n), rng)
+    if residual >= EIG_TOL:
+        return None
+    above = theta > _bulk_edge(op)
+    if above.sum() >= 2:
+        q = q[:, above]
+    embedding = q / np.clip(np.linalg.norm(q, axis=1, keepdims=True), 1e-12, None)
+    labels, _ = kmeans(embedding, k, rng)
     return labels

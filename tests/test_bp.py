@@ -1,4 +1,6 @@
 import json
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -490,6 +492,21 @@ class TestFitDrivers:
         assert fit.params.k == fit.selected_k
         assert any("clamped to 5" in w for w in fit.warnings)
         assert not f2ab_fit(two_cliques(), 6, 0).warnings
+
+    def test_concurrent_fits_leave_warning_filters_alone(self):
+        # four threads fit one shared graph at the same seeds: each thread
+        # gets the same bytes, and no fit touches the process-wide filters
+        n = 200
+        g, _ = generate_sbm(n, *evaluate.planted_four_params(n), 0)
+        before = list(warnings.filters)
+
+        def fits(_):
+            return [fit_result_to_json(f2ab_fit(g, 6, seed)) for seed in range(5)]
+
+        with ThreadPoolExecutor(4) as pool:
+            runs = list(pool.map(fits, range(4)))
+        assert warnings.filters == before
+        assert all(run == runs[0] for run in runs)
 
     def test_planted_four_at_n_20000_prunes_in_few_sweeps(self):
         # scale-ladder regression: from k_max=20 the spectral partition on the

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from blockbp import Graph, adjusted_rand_index, evaluate, f2ab_fit, generate_sbm, parse_edge_list, spectral_init
-from blockbp import spectral
+from blockbp import bp, spectral
+from blockbp.bp import _soft_init
 from blockbp.model import hard_moments, m_step
 from blockbp.spectral import EIG_TOL, _bulk_edge, _normalized_adjacency, kmeans, orthogonal_iteration
 from oracles import dense_top_subspace, kmeans_reference
@@ -107,6 +108,8 @@ DEGENERATE_GRAPHS = {
     "isolated_and_selfloop_only": (Graph(9, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 4), (5, 5)]), 4),
     # no edge between two nodes, so the mean degree tau is 0
     "selfloops_only": (Graph(6, [(i, i) for i in range(6)]), 3),
+    # tau is 0 and the isolated node's degree is 0 as well
+    "selfloops_and_isolated": (Graph(5, [(i, i) for i in range(4)]), 3),
 }
 
 
@@ -156,14 +159,26 @@ class TestSpectralInit:
 
     def test_random_fallback_when_iteration_stops_above_tol(self, monkeypatch):
         # no residual falls below a zero tolerance, so the iteration runs to
-        # its cap and the labels are drawn at random
+        # its cap and spectral_init has no partition; the fit draws its start
+        # labels at random, records the fallback and warns once
         monkeypatch.setattr(spectral, "EIG_TOL", 0.0)
         g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.1), seed=7)
-        with pytest.warns(UserWarning, match="did not converge"):
-            labels = spectral_init(g, 3, 4)
-        assert labels.min() >= 0 and labels.max() < 3
-        with pytest.warns(UserWarning, match="did not converge"):
-            again = spectral_init(g, 3, 4)
+        assert spectral_init(g, 3, 4) is None
+        starts = []
+
+        def recorded(graph, labels, k, confidence):
+            starts.append(labels)
+            return _soft_init(graph, labels, k, confidence)
+
+        monkeypatch.setattr(bp, "_soft_init", recorded)
+        message = "spectral eigen-iteration did not converge; random init"
+        for _ in range(2):
+            with pytest.warns(UserWarning) as caught:
+                fit = f2ab_fit(g, 3, 4)
+            assert [str(w.message) for w in caught] == [message]
+            assert fit.warnings == [message]
+        labels, again = starts
+        assert labels.shape == (g.n,) and labels.min() >= 0 and labels.max() < 3
         assert np.array_equal(labels, again)
 
     def test_random_fallback_recorded_in_fit_warnings(self, monkeypatch):
@@ -185,20 +200,20 @@ class TestSpectralInit:
     @pytest.mark.parametrize("name", list(DEGENERATE_GRAPHS))
     def test_degenerate_spectrum(self, name, eig_runs):
         # finite orthonormal q and residual; the subspace is used when the
-        # residual is below EIG_TOL, and otherwise the warned fallback runs
+        # residual is below EIG_TOL, and otherwise there is no partition
         g, k = DEGENERATE_GRAPHS[name]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             labels = spectral_init(g, k, 0)
-            params, _ = m_step(hard_moments(g, labels, k))
         (q, residual, _), = eig_runs
         assert np.all(np.isfinite(q)) and np.isfinite(residual)
         assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) < 1e-12
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        fell_back = [w for w in caught if "did not converge" in str(w.message)]
-        assert bool(fell_back) == (residual >= EIG_TOL)
-        assert labels.shape == (g.n,) and labels.min() >= 0 and labels.max() < k
-        assert np.all(np.isfinite(params.pi)) and np.all(np.isfinite(params.gamma))
+        assert not caught
+        assert (labels is None) == (residual >= EIG_TOL)
+        if labels is not None:
+            params, _ = m_step(hard_moments(g, labels, k))
+            assert labels.shape == (g.n,) and labels.min() >= 0 and labels.max() < k
+            assert np.all(np.isfinite(params.pi)) and np.all(np.isfinite(params.gamma))
 
 
 class TestBulkEdgeColumns:
