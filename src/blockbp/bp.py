@@ -31,13 +31,20 @@ uniform distribution (confidence START_CONFIDENCE) so that redundant
 clusters can still merge; plain fits never prune and take it one-hot.  When
 spectral init has no partition, the labels are drawn at random and the fit
 records and warns about it.
+
+A fit alternates sweep runs with closed-form M-steps and spends at most
+BPOptions.max_sweeps sweeps in all: each run gets the sweeps its
+predecessors left.  Every run stops by the same rule whatever the mode, and
+names its reason ("tol", "stall" or "cap"); the fit names its own in
+FitResult.stop ("tol", "stall", "budget" or "max_outer").
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -56,6 +63,8 @@ from .model import (
 PRUNE_SCALE = 0.1  # prune cluster k when E[zbar_k] < PRUNE_SCALE / n
 PLAIN_DAMPING = 0.5  # share of the old message kept by a plain update
 START_CONFIDENCE = 0.45  # weight of the spectral label in a penalized fit's start
+STALL_SWEEPS = 25  # a run stops after this many sweeps without a 5% better message change
+STALL_OUTERS = 12  # a plain fit stops after this many M-steps without a 10% better delta_pi
 
 
 class MessageUnderflowError(RuntimeError):
@@ -70,15 +79,18 @@ class MessageUnderflowError(RuntimeError):
 class BPOptions:
     """The stopping rule of a fit: the four `blockbp fit` stopping flags.
 
-    A sweep run stops once the mean absolute message change per edge is at
-    most tol_msg, or after max_sweeps sweeps; the alternation of sweep runs
-    and M-steps stops once the largest affinity change is at most tol_pi,
-    or after max_outer outer iterations (a zero tolerance stops at an exact
-    fixed point).  Everything else is set by the fit
-    method through its penalty mode: the penalized modes ("fab", "fic") read
-    the live proportions as their prior, are undamped and prune; the plain
-    mode ("none") reads gamma, is damped by PLAIN_DAMPING and never prunes.
-    Out-of-range values raise ValueError naming the field.
+    max_sweeps is the sweep budget of a whole fit (of one `fabbp_run` call
+    when passed to it directly).  A sweep run stops once the mean absolute
+    message change per edge is at most tol_msg, after STALL_SWEEPS sweeps
+    without progress, or when the sweeps left run out; the alternation of
+    sweep runs and M-steps stops once the largest affinity change is at most
+    tol_pi, when the budget is spent, or after max_outer outer iterations (a
+    zero tolerance stops at an exact fixed point).  Everything else is set
+    by the fit method through its penalty mode: the penalized modes ("fab",
+    "fic") read the live proportions as their prior, are undamped and prune;
+    the plain mode ("none") reads gamma, is damped by PLAIN_DAMPING and
+    never prunes.  Out-of-range values, and caps that are not integers,
+    raise ValueError naming the field.
     """
 
     tol_msg: float = 1e-2
@@ -93,6 +105,8 @@ class BPOptions:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         for name in ("max_sweeps", "max_outer"):
             value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if not value >= 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
@@ -418,10 +432,14 @@ def fabbp_run(params, state, opts, rng, penalty):
     class, "none" damps its messages and never prunes (see the module
     docstring).  The sweep reads the affinities clamped into
     [EPS_P, 1 - EPS_P]; the returned params are the given ones, sliced to
-    the surviving clusters.  Stops when the summed absolute message change
-    per sweep, normalized by the edge count, is at most opts.tol_msg or the
-    sweep cap is reached; a capped run is flagged, not an error.
-    Returns (state, params, info).
+    the surviving clusters.  The run stops by one rule in every mode, and
+    info["stop"] names the reason: "tol" once the summed absolute message
+    change per sweep, normalized by the edge count, is at most opts.tol_msg;
+    "stall" once STALL_SWEEPS sweeps in a row have not brought it 5% below
+    its best (wandering messages, a parameter-belief limit cycle, would
+    otherwise burn the whole cap); "cap" after opts.max_sweeps sweeps.
+    Returns (state, params, info), info holding "sweeps", "mean_delta" and
+    "stop".
     """
     if penalty not in ("none", "fab", "fic"):
         raise ValueError(f"unknown penalty mode {penalty!r}")
@@ -432,7 +450,7 @@ def fabbp_run(params, state, opts, rng, penalty):
     mean_delta = np.inf
     best_delta = np.inf
     sweeps_since_best = 0
-    converged = False
+    stop = "cap"
     for _ in range(opts.max_sweeps):
         sweeps += 1
         total_delta = 0.0
@@ -445,22 +463,18 @@ def fabbp_run(params, state, opts, rng, penalty):
         state.refresh_moments(sweep_params)
         mean_delta = total_delta / m_edges
         if mean_delta <= opts.tol_msg:
-            converged = True
+            stop = "tol"
             break
-        # stall guard for plain sweeps only: wandering messages (a
-        # parameter-belief limit cycle on structureless data) would otherwise
-        # burn the whole sweep budget; penalized sweeps legitimately spend
-        # long plateaus collapsing redundant clusters
-        if penalty == "none":
-            if mean_delta < 0.95 * best_delta:
-                best_delta = mean_delta
-                sweeps_since_best = 0
-            else:
-                sweeps_since_best += 1
-                if sweeps_since_best >= 25:
-                    break
+        if mean_delta < 0.95 * best_delta:
+            best_delta = mean_delta
+            sweeps_since_best = 0
+        else:
+            sweeps_since_best += 1
+            if sweeps_since_best >= STALL_SWEEPS:
+                stop = "stall"
+                break
 
-    info = {"sweeps": sweeps, "mean_delta": mean_delta, "converged": converged}
+    info = {"sweeps": sweeps, "mean_delta": mean_delta, "stop": stop}
     return state, params, info
 
 
@@ -469,13 +483,20 @@ def fabbp_run(params, state, opts, rng, penalty):
 
 @dataclass
 class FitResult:
-    """Outcome of a fit: selected model size, parameters, beliefs, trace."""
+    """Outcome of a fit: selected model size, parameters, beliefs, trace.
+
+    `stop` is why the fit ended: "tol" (the affinities settled within
+    tol_pi), "stall" (a plain fit's affinity change made no progress for
+    STALL_OUTERS M-steps), "budget" (max_sweeps sweeps spent) or
+    "max_outer".  It is None only for a fit.json written before the reason
+    was recorded whose fit did not settle.
+    """
 
     selected_k: int
     params: Params
     node_marginals: np.ndarray
     map_assignment: np.ndarray
-    converged: bool
+    stop: str | None
     trace: list
     criteria: criteria.CriterionReport
     n: int
@@ -510,14 +531,24 @@ def _soft_init(graph, labels, k, confidence=START_CONFIDENCE):
 
 def _fit_driver(graph, k_init, seed, opts, method, penalty):
     """Alternate BP sweeps in the given penalty mode with closed-form M-steps
-    until the affinities settle.
+    until the affinities settle or the fit's sweep budget is spent.
+
+    opts.max_sweeps bounds the sweeps of the whole fit: each `fabbp_run`
+    call is passed the sweeps still left as its cap.  The fit stops once
+    the M-step's largest affinity change is at most opts.tol_pi ("tol"),
+    when no sweep is left ("budget"), or after opts.max_outer iterations
+    ("max_outer"); plain fits also stop after STALL_OUTERS M-steps without
+    a 10% smaller affinity change ("stall").  Penalized fits skip that
+    guard: their affinities can sit on a plateau for many outers while
+    twin clusters decide which one to keep.  The reason goes into
+    FitResult.stop.
 
     Each outer iteration appends one trace entry with its index (`outer`),
-    the sweep count and final mean message change of its sweep run
-    (`sweeps`, `mean_delta`), the surviving cluster count (`k_active`) and,
-    when K held through the iteration, the largest affinity change of the
-    M-step (`delta_pi`).  The criteria, the lower bound among them, are
-    computed once, for the returned state.
+    the sweep count, final mean message change and stop reason of its sweep
+    run (`sweeps`, `mean_delta`, `stop`), the surviving cluster count
+    (`k_active`) and, when K held through the iteration, the largest
+    affinity change of the M-step (`delta_pi`).  The criteria, the lower
+    bound among them, are computed once, for the returned state.
 
     Every fit starts from the spectral partition: `_soft_init` gives the
     beliefs and the first params, and the BeliefState built from them sets
@@ -555,18 +586,22 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
     sweep_rng = np.random.default_rng(seed_sweep)
 
     trace = []
-    converged = False
+    budget = opts.max_sweeps
+    stop = "max_outer"
     best_dpi = np.inf
     outers_since_best = 0
     for outer in range(opts.max_outer):
         k_before = state.k_active
-        state, params, info = fabbp_run(params, state, opts, sweep_rng, penalty)
+        run_opts = replace(opts, max_sweeps=budget)  # the sweeps left
+        state, params, info = fabbp_run(params, state, run_opts, sweep_rng, penalty)
+        budget -= info["sweeps"]
         moments = state.moments()
         new_params, _ = m_step(moments)
         entry = {
             "outer": outer,
             "sweeps": info["sweeps"],
             "mean_delta": info["mean_delta"],
+            "stop": info["stop"],
             "k_active": state.k_active,
         }
         if state.k_active == k_before:
@@ -577,9 +612,11 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
         trace.append(entry)
         params = new_params
         if delta_pi is not None and delta_pi <= opts.tol_pi:
-            converged = True
+            stop = "tol"
             break
-        # stall guard mirroring the sweep-level one, on the affinity deltas;
+        if budget == 0:
+            stop = "budget"
+            break
         # plain sweeps never prune, so delta_pi is always set here
         if penalty == "none":
             if delta_pi < 0.9 * best_dpi:
@@ -587,7 +624,8 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
                 outers_since_best = 0
             else:
                 outers_since_best += 1
-                if outers_since_best >= 12:
+                if outers_since_best >= STALL_OUTERS:
+                    stop = "stall"
                     break
 
     report = criteria.criterion_report(graph, state, params)
@@ -596,7 +634,7 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
         params=params,
         node_marginals=state.node_belief.copy(),
         map_assignment=state.map_assignment(),
-        converged=converged,
+        stop=stop,
         trace=trace,
         criteria=report,
         n=graph.n,
@@ -632,7 +670,7 @@ def fit_result_to_json(result):
         "seed": result.seed,
         "method": result.method,
         "rng_algorithm": result.rng_algorithm,
-        "converged": result.converged,
+        "stop": result.stop,
         "gamma": result.params.gamma.tolist(),
         "pi": result.params.pi.reshape(-1).tolist(),
         "node_marginals": result.node_marginals.tolist(),
@@ -646,6 +684,12 @@ def fit_result_to_json(result):
 
 
 def fit_result_from_json(text):
+    """FitResult from fit.json text.
+
+    Files written before the stop reason was recorded carry a "converged"
+    flag instead; a converged fit loads with stop "tol", any other with
+    None.
+    """
     obj = json.loads(text)
     k = int(obj["selected_k"])
     params = Params(
@@ -658,7 +702,7 @@ def fit_result_from_json(text):
         params=params,
         node_marginals=np.array(obj["node_marginals"], dtype=np.float64),
         map_assignment=np.array(obj["map_assignment"], dtype=np.int64),
-        converged=bool(obj["converged"]),
+        stop=obj.get("stop", "tol" if obj.get("converged") else None),
         trace=obj["trace"],
         criteria=report,
         n=int(obj["n"]),

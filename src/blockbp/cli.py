@@ -55,7 +55,8 @@ def _build_parser():
     stopping = argparse.ArgumentParser(add_help=False)
     stopping.add_argument("--tol-msg", type=float, default=bp.BPOptions.tol_msg)
     stopping.add_argument("--tol-pi", type=float, default=bp.BPOptions.tol_pi)
-    stopping.add_argument("--max-sweeps", type=int, default=bp.BPOptions.max_sweeps)
+    stopping.add_argument("--max-sweeps", type=int, default=bp.BPOptions.max_sweeps,
+                          help="sweep budget of each fit, summed over its M-steps")
     stopping.add_argument("--max-outer", type=int, default=bp.BPOptions.max_outer)
 
     parser = argparse.ArgumentParser(prog="blockbp")
@@ -134,7 +135,7 @@ def _cmd_fit(args):
     seconds = time.perf_counter() - start
     _atomic_write(args.output, bp.fit_result_to_json(fit))
     print(f"method={args.method} selected_k={fit.selected_k} "
-          f"converged={fit.converged} seconds={seconds:.2f}")
+          f"stop={fit.stop} seconds={seconds:.2f}")
     return 0
 
 

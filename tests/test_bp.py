@@ -86,6 +86,7 @@ class TestBPOptions:
             ("tol_pi", float("nan")),
             ("max_sweeps", 0),
             ("max_sweeps", -3),
+            ("max_sweeps", 2.5),
             ("max_outer", 0),
         ],
     )
@@ -377,7 +378,7 @@ class TestFabbpRun:
         params = Params(np.array([1.0]), np.array([[0.2]]))
         state = fresh_state(g, 1)
         state, _, info = fabbp_run(params, state, BPOptions(), np.random.default_rng(0), "fab")
-        assert info["sweeps"] <= 2 and info["converged"]
+        assert info["sweeps"] <= 2 and info["stop"] == "tol"
         assert state.zbar_cache == pytest.approx([1.0])
 
     def test_spurious_cluster_mass_shrinks_over_sweeps(self, monkeypatch):
@@ -517,8 +518,17 @@ class TestFitDrivers:
         fit = f2ab_fit(g, 20, 0)
         assert fit.selected_k == 4
         assert adjusted_rand_index(fit.map_assignment, planted.labels) >= 0.9
-        assert fit.converged
+        assert fit.stop == "tol"
         assert sum(entry["sweeps"] for entry in fit.trace) <= 30
+
+    @pytest.mark.parametrize("n, seed", [(42, 504548), (51, 509447)])
+    def test_structureless_graph_ends_on_the_sweep_budget(self, n, seed):
+        # Erdős–Rényi graphs on which the penalized messages keep cycling:
+        # without a fit-wide budget these ran 7557 and 11 385 sweeps
+        g, _ = generate_sbm(n, [1.0], [[0.4]], seed)
+        fit = f2ab_fit(g, 20, seed)
+        assert fit.stop == "budget"
+        assert sum(entry["sweeps"] for entry in fit.trace) <= BPOptions().max_sweeps
 
     def test_empty_graph_returns_trivial_fit(self):
         g = Graph(5, [])
@@ -540,7 +550,7 @@ class TestFitDrivers:
         for graph, k in ((Graph(5, []), 3), (g, 1)):
             for fit_method in (f2ab_fit, fic_bp_fit, fixed_k_fit):
                 fit = fit_method(graph, k, 0, opts)
-                assert fit.converged
+                assert fit.stop == "tol"
                 assert [entry["sweeps"] for entry in fit.trace] in ([1], [1, 1])
 
     @pytest.mark.parametrize("fit_method", [f2ab_fit, fic_bp_fit, fixed_k_fit])
@@ -646,7 +656,7 @@ class TestFitDrivers:
         pi = np.array([[25 / n, 1 / n], [1 / n, 25 / n]])
         g, _ = generate_sbm(n, [0.5, 0.5], pi, seed=4)
         fit = f2ab_fit(g, k_max=8, seed=1)
-        base = {"outer", "sweeps", "mean_delta", "k_active"}
+        base = {"outer", "sweeps", "mean_delta", "stop", "k_active"}
         k_before = 8
         for index, entry in enumerate(fit.trace):
             held = entry["k_active"] == k_before
@@ -657,14 +667,20 @@ class TestFitDrivers:
         assert "delta_pi" in fit.trace[-1]
 
     def test_trace_with_criterion_key_still_loads(self):
-        # older fit.json files carry a "criterion" value in every trace entry
+        # older fit.json files carry a "criterion" value in every trace entry,
+        # and a "converged" flag in place of the stop reasons
         g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.15), seed=10)
         payload = json.loads(fit_result_to_json(fixed_k_fit(g, 2, seed=3)))
+        del payload["stop"]
         for entry in payload["trace"]:
+            del entry["stop"]
             entry["criterion"] = -123.5
-        back = fit_result_from_json(json.dumps(payload))
-        assert back.trace == payload["trace"]
-        assert back.criteria.ffic_lb == payload["criteria"]["ffic_lb"]
+        for converged, stop in ((True, "tol"), (False, None)):
+            payload["converged"] = converged
+            back = fit_result_from_json(json.dumps(payload))
+            assert back.stop == stop
+            assert back.trace == payload["trace"]
+            assert back.criteria.ffic_lb == payload["criteria"]["ffic_lb"]
 
     def test_fit_result_roundtrip(self):
         g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.15), seed=10)
@@ -674,3 +690,4 @@ class TestFitDrivers:
         assert np.array_equal(back.map_assignment, fit.map_assignment)
         assert back.params.pi == pytest.approx(fit.params.pi, abs=0)
         assert back.criteria.ffic_lb == fit.criteria.ffic_lb
+        assert back.stop == fit.stop

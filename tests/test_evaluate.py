@@ -22,7 +22,7 @@ def make_fit(n, marginals, params, selected_k=None):
         params=params,
         node_marginals=np.asarray(marginals, dtype=float),
         map_assignment=np.argmax(marginals, axis=1),
-        converged=True,
+        stop="tol",
         trace=[],
         criteria=report,
         n=n,
