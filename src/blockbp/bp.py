@@ -14,9 +14,12 @@ the pairwise edge beliefs only through one (m, K) contraction,
 
 The fit method picks the penalty mode of its sweeps, and the mode sets
 everything about a sweep that is not a stopping value:
-  "none"  plain sum-product messages; the prior is log gamma, new messages
-          are mixed half and half with the old ones, and no cluster is
-          pruned (`fixed_k_fit`),
+  "none"  plain sum-product messages; the prior is log gamma and no cluster
+          is pruned (`fixed_k_fit`).  New messages replace the old ones
+          until a sweep fails to shrink the mean message change; from then
+          on, for the rest of the fit, each new message is mixed with the
+          old one, PLAIN_DAMPING of the old kept (damping only messages
+          that oscillate: Murphy, Weiss & Jordan, UAI 1999),
   "fab"   messages carry the smoothed cluster- and bicluster-size penalties
           (`f2ab_fit`),
   "fic"   only the cluster-size penalty, scaled by K(K+1)/2 (`fic_bp_fit`).
@@ -61,7 +64,7 @@ from .model import (
 )
 
 PRUNE_SCALE = 0.1  # prune cluster k when E[zbar_k] < PRUNE_SCALE / n
-PLAIN_DAMPING = 0.5  # share of the old message kept by a plain update
+PLAIN_DAMPING = 0.5  # share of the old message a plain update keeps once damped
 START_CONFIDENCE = 0.45  # weight of the spectral label in a penalized fit's start
 STALL_SWEEPS = 25  # a run stops after this many sweeps without a 5% better message change
 STALL_OUTERS = 12  # a plain fit stops after this many M-steps without a 10% better delta_pi
@@ -88,9 +91,10 @@ class BPOptions:
     zero tolerance stops at an exact fixed point).  Everything else is set
     by the fit method through its penalty mode: the penalized modes ("fab",
     "fic") read the live proportions as their prior, are undamped and prune;
-    the plain mode ("none") reads gamma, is damped by PLAIN_DAMPING and
-    never prunes.  Out-of-range values, and caps that are not integers,
-    raise ValueError naming the field.
+    the plain mode ("none") reads gamma, never prunes, and is damped by
+    PLAIN_DAMPING from its first sweep that does not shrink the mean message
+    change to the end of the fit.  Out-of-range values, and caps that are
+    not integers, raise ValueError naming the field.
     """
 
     tol_msg: float = 1e-2
@@ -124,12 +128,13 @@ def _normalize_rows(w, edge_of):
     the total clears the common case; the rows are checked one by one only
     when it fails.
     """
-    total = w.sum(axis=1, keepdims=True)
+    # a product with ones: numpy sums a short last axis one row at a time
+    total = w @ np.ones(w.shape[1])
     if total.size and not (total.min() > 0.0 and np.isfinite(total.sum())):
-        ok = np.isfinite(total[:, 0]) & (total[:, 0] > 0.0)
+        ok = np.isfinite(total) & (total > 0.0)
         if not ok.all():
             raise MessageUnderflowError(*edge_of(int(np.argmin(ok))))
-    w /= total
+    w /= total[:, None]
     return w
 
 
@@ -189,7 +194,8 @@ class BeliefState:
     Messages exist for both orientations of every non-self-loop training
     edge; self-loops contribute to statistics but carry no message.
     `classes` holds the InLists of the colour classes of a greedy proper
-    colouring (largest degree first).
+    colouring (largest degree first).  `damping` is the share of the old
+    message a plain update keeps: 0 until `fabbp_run` turns it on.
     """
 
     def __init__(self, graph, beliefs, params):
@@ -226,6 +232,7 @@ class BeliefState:
 
         self.node_belief = np.array(beliefs, dtype=np.float64)
         self.messages = self.node_belief[self.src]
+        self.damping = 0.0
         # free the layout temporaries before the refresh's (m, K) arrays
         del pairs, src, dst, order, position, colour, by_colour, counts
         self.refresh_moments(params)
@@ -369,7 +376,10 @@ def compute_penalty(state, node, mode="fab", lists=None):
     np.subtract(n * n * state.zzbar_cache + 1.0, big_t, out=big_t)
     np.clip(big_t, 1.0, None, out=big_t)
     terms = np.divide(nbr[..., None, :], big_t)
-    return r1_term + 0.5 * np.log1p(terms, out=terms).sum(axis=-1)
+    np.log1p(terms, out=terms)
+    # the last-axis sum as one product with ones (see _normalize_rows)
+    k = terms.shape[-1]
+    return r1_term + 0.5 * (terms.reshape(-1, k) @ np.ones(k)).reshape(terms.shape[:-1])
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -381,15 +391,16 @@ def _update_class(state, cls, params, penalty):
     The class shares no edge, so all the messages it reads come from other
     classes; h and zzbar_cache are read as they stood when the class
     started and then take one rank update each.  `penalty` is the sweep's
-    penalty mode (see the module docstring).  Returns the summed absolute
-    message change.
+    penalty mode (see the module docstring); a plain update keeps the share
+    state.damping of each old message.  Returns the summed absolute message
+    change.
     """
     n, pi = state.n, params.pi
     plain = penalty == "none"
     out = cls.rev  # out-message i->j sits on the row of in-message j->i
     # a gathered copy: a view of the class's block would move the rounding
     # of the GEMMs below
-    in_msgs = state.messages[cls.ids]
+    in_msgs = state.messages.take(cls.ids, axis=0)
     in_vals = in_msgs @ pi
     with np.errstate(divide="ignore"):  # a pruned message row can be all zero
         log_in = np.log(in_vals)
@@ -402,21 +413,23 @@ def _update_class(state, cls, params, penalty):
 
     # each finite row of weights peaks at 1; out-message i->j is node i's
     # weights without the factor of in-message j->i, so every such row sums
-    # to at least 1 (in_vals <= 1)
-    weights = np.exp(base - base.max(axis=1, keepdims=True))
+    # to at least 1 (in_vals <= 1); the row max is taken down a contiguous
+    # (K, nodes) copy, for the reason _normalize_rows sums with a product
+    weights = np.exp(base - np.ascontiguousarray(base.T).max(axis=0)[:, None])
     new_msgs = _normalize_rows(
-        weights[cls.owner] / in_vals, lambda r: (int(state.src[out[r]]), int(state.dst[out[r]]))
+        weights.take(cls.owner, axis=0) / in_vals,
+        lambda r: (int(state.src[out[r]]), int(state.dst[out[r]])),
     )
     new_belief = _normalize_rows(weights, lambda r: (int(cls.nodes[r]),) * 2)
-    old_msgs = state.messages[out]
-    if plain:
-        new_msgs *= 1.0 - PLAIN_DAMPING
-        new_msgs += PLAIN_DAMPING * old_msgs
+    old_msgs = state.messages.take(out, axis=0)
+    if plain and state.damping:
+        new_msgs *= 1.0 - state.damping
+        new_msgs += state.damping * old_msgs
     deltas = np.subtract(new_msgs, old_msgs, out=old_msgs)
     u = pi * (deltas.T @ in_msgs) / n**2
     state.zzbar_cache += 0.5 * (u + u.T)
     state.messages[out] = new_msgs
-    state.h += (new_belief - state.node_belief[cls.nodes]).sum(axis=0)
+    state.h += (new_belief - state.node_belief.take(cls.nodes, axis=0)).sum(axis=0)
     state.node_belief[cls.nodes] = new_belief
     return float(np.abs(deltas).sum())
 
@@ -429,20 +442,23 @@ def fabbp_run(params, state, opts, rng, penalty):
     at once (nodes of a class share no edge, so the class update equals the
     node-by-node one) and maintaining incremental moment caches.  `penalty`
     is the penalty mode: "fab" and "fic" prune low-mass clusters after each
-    class, "none" damps its messages and never prunes (see the module
-    docstring).  The sweep reads the affinities clamped into
-    [EPS_P, 1 - EPS_P]; the returned params are the given ones, sliced to
-    the surviving clusters.  The run stops by one rule in every mode, and
+    class and never damp; "none" never prunes, and its first sweep whose
+    mean message change is not below the previous sweep's sets
+    state.damping to PLAIN_DAMPING, which stays set for the state's later
+    runs (see the module docstring).  The sweep reads the affinities
+    clamped into [EPS_P, 1 - EPS_P]; the returned params are the given
+    ones, sliced to the surviving clusters.  The run stops by one rule in every mode, and
     info["stop"] names the reason: "tol" once the summed absolute message
     change per sweep, normalized by the edge count, is at most opts.tol_msg;
     "stall" once STALL_SWEEPS sweeps in a row have not brought it 5% below
     its best (wandering messages, a parameter-belief limit cycle, would
     otherwise burn the whole cap); "cap" after opts.max_sweeps sweeps.
-    Returns (state, params, info), info holding "sweeps", "mean_delta" and
-    "stop".
+    Returns (state, params, info), info holding "sweeps", "mean_delta",
+    "stop" and "damped" (whether the run ended damped).
     """
     if penalty not in ("none", "fab", "fic"):
         raise ValueError(f"unknown penalty mode {penalty!r}")
+    plain = penalty == "none"
     sweep_params = clamped(params)
     m_edges = max(state.m_directed // 2, 1)
 
@@ -456,12 +472,14 @@ def fabbp_run(params, state, opts, rng, penalty):
         total_delta = 0.0
         for c in rng.permutation(len(state.classes)):
             total_delta += _update_class(state, state.classes[c], sweep_params, penalty)
-            if penalty != "none" and state.k_active > 1 and state.h.min() < PRUNE_SCALE:
+            if not plain and state.k_active > 1 and state.h.min() < PRUNE_SCALE:
                 params = state.prune_clusters(params)
                 sweep_params = clamped(params)
 
         state.refresh_moments(sweep_params)
-        mean_delta = total_delta / m_edges
+        last_delta, mean_delta = mean_delta, total_delta / m_edges
+        if plain and mean_delta >= last_delta:
+            state.damping = PLAIN_DAMPING  # for the rest of the fit
         if mean_delta <= opts.tol_msg:
             stop = "tol"
             break
@@ -474,7 +492,8 @@ def fabbp_run(params, state, opts, rng, penalty):
                 stop = "stall"
                 break
 
-    info = {"sweeps": sweeps, "mean_delta": mean_delta, "stop": stop}
+    damped = plain and state.damping > 0.0
+    info = {"sweeps": sweeps, "mean_delta": mean_delta, "stop": stop, "damped": damped}
     return state, params, info
 
 
@@ -545,7 +564,8 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
 
     Each outer iteration appends one trace entry with its index (`outer`),
     the sweep count, final mean message change and stop reason of its sweep
-    run (`sweeps`, `mean_delta`, `stop`), the surviving cluster count
+    run and whether the run ended damped (`sweeps`, `mean_delta`, `stop`,
+    `damped`; always false in penalized modes), the surviving cluster count
     (`k_active`) and, when K held through the iteration, the largest
     affinity change of the M-step (`delta_pi`).  The criteria, the lower
     bound among them, are computed once, for the returned state.
@@ -602,6 +622,7 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
             "sweeps": info["sweeps"],
             "mean_delta": info["mean_delta"],
             "stop": info["stop"],
+            "damped": info["damped"],
             "k_active": state.k_active,
         }
         if state.k_active == k_before:

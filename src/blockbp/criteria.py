@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 from .model import (
     EPS_P,
@@ -219,6 +218,9 @@ def exact_joint_marginal(graph, labels, k=None):
     empty clusters and on biclusters with all or no edges, so such
     configurations come back flagged instead of valued.
     """
+    # no fit calls this, so the scipy.special import stays off the start-up path
+    from scipy.special import betaln, gammaln
+
     labels = np.asarray(labels, dtype=np.int64)
     if k is None:
         k = int(labels.max()) + 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 EPS_P = 1e-12  # probability clamp used inside logarithms
 
@@ -319,6 +318,9 @@ def natural_from_mean(params):
 
 def mean_from_natural(nat):
     """Inverse map: pi = sigmoid(theta), gamma = softmax([eta, 0])."""
+    # no fit calls this, so the scipy.special import stays off the start-up path
+    from scipy.special import expit
+
     pi = expit(nat.theta)
     logits = np.concatenate([nat.eta, [0.0]])
     logits = logits - logits.max()

@@ -243,21 +243,24 @@ class TestColourClasses:
 
     @staticmethod
     def check_class_sweep(g, include_field, penalized, monkeypatch):
-        # plain sweeps: the gamma prior, damped by a half; penalized sweeps
-        # with a zero penalty: the live prior, undamped
+        # plain sweeps: the gamma prior, undamped on a fresh state and damped
+        # by PLAIN_DAMPING on one already switched to damping; penalized
+        # sweeps with a zero penalty: the live prior, undamped on both
         pi = np.array([[0.6, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.7]])
         params = Params(np.array([0.5, 0.3, 0.2]), pi)
-        state = fresh_state(g, 3, seed=4)
-        order = np.random.default_rng(7).permutation(len(state.classes))
-        damping = 0.0 if penalized else bp.PLAIN_DAMPING
-        msgs, beliefs = per_node_sweep(state, params, order, damping, include_field, penalized)
         monkeypatch.setattr(bp, "compute_penalty", constant_penalty(np.zeros(3)))
         if not include_field:
             monkeypatch.setattr(bp, "external_field", no_field)
         opts = BPOptions(max_sweeps=1, tol_msg=0.0)
-        fabbp_run(params, state, opts, np.random.default_rng(7), "fab" if penalized else "none")
-        assert np.max(np.abs(state.messages - msgs)) < 1e-12
-        assert np.max(np.abs(state.node_belief - beliefs)) < 1e-12
+        for state_damping in (0.0, bp.PLAIN_DAMPING):
+            state = fresh_state(g, 3, seed=4)
+            state.damping = state_damping
+            order = np.random.default_rng(7).permutation(len(state.classes))
+            damping = 0.0 if penalized else state_damping
+            msgs, beliefs = per_node_sweep(state, params, order, damping, include_field, penalized)
+            fabbp_run(params, state, opts, np.random.default_rng(7), "fab" if penalized else "none")
+            assert np.max(np.abs(state.messages - msgs)) < 1e-12
+            assert np.max(np.abs(state.node_belief - beliefs)) < 1e-12
 
     @pytest.mark.parametrize("include_field", [False, True])
     @pytest.mark.parametrize("penalized", [False, True])
@@ -449,8 +452,59 @@ class TestFabbpRun:
         with pytest.raises(ValueError, match="unknown penalty mode 'FAB'"):
             fabbp_run(params, fresh_state(g, 2), BPOptions(), np.random.default_rng(0), "FAB")
 
+    def test_plain_damping_turns_on_at_the_first_rising_sweep(self, monkeypatch):
+        # dense n=12 graph: undamped messages oscillate; record the damping
+        # each class update reads and the message change it returns
+        g, _ = generate_sbm(12, [1.0], np.array([[0.5]]), seed=1)
+        calls = []
+        update = bp._update_class
+
+        def recording(state, cls, params, penalty):
+            calls.append((state.damping, update(state, cls, params, penalty)))
+            return calls[-1][1]
+
+        def run(penalty, pi):
+            # one 20-sweep run from a fresh state; per sweep, its mean
+            # message change and the damping values its updates read
+            calls.clear()
+            state = fresh_state(g, 2, seed=1)
+            params = Params(np.array([0.5, 0.5]), np.array(pi))
+            opts = BPOptions(tol_msg=0.0, max_sweeps=20)
+            state, params, info = fabbp_run(params, state, opts, np.random.default_rng(2), penalty)
+            size, m_edges = len(state.classes), state.m_directed // 2
+            sweeps = [calls[i : i + size] for i in range(0, len(calls), size)]
+            change = [sum(delta for _, delta in sweep) / m_edges for sweep in sweeps]
+            seen = [{damping for damping, _ in sweep} for sweep in sweeps]
+            rise = next(s for s in range(1, len(change)) if change[s] >= change[s - 1])
+            return state, params, info, seen, rise
+
+        monkeypatch.setattr(bp, "_update_class", recording)
+        # plain: undamped through the first sweep whose change does not
+        # fall, damped from the next one on
+        state, params, info, seen, rise = run("none", [[0.75, 0.35], [0.35, 0.65]])
+        assert 1 < rise < len(seen) - 1
+        assert seen == [{0.0}] * (rise + 1) + [{bp.PLAIN_DAMPING}] * (len(seen) - rise - 1)
+        assert info["damped"] is True
+        # ... and a later run on the same state starts damped
+        calls.clear()
+        opts = BPOptions(tol_msg=0.0, max_sweeps=2)
+        fabbp_run(params, state, opts, np.random.default_rng(3), "none")
+        assert {damping for damping, _ in calls} == {bp.PLAIN_DAMPING}
+        # penalized: never damped, though its change rises at once under
+        # these sharper affinities
+        state, _, info, seen, _ = run("fab", [[0.9, 0.2], [0.2, 0.8]])
+        assert seen == [{0.0}] * len(seen)
+        assert state.damping == 0.0 and info["damped"] is False
+
+        # a whole fit records whether each run ended damped: once on,
+        # damping stays on; penalized fits never damp
+        damped = [entry["damped"] for entry in fixed_k_fit(g, 2, 1).trace]
+        assert True in damped and damped == sorted(damped)
+        assert not any(entry["damped"] for entry in f2ab_fit(g, 2, 1).trace)
+
     def test_messages_stay_normalized(self):
-        # one damped plain sweep, then one undamped penalized sweep
+        # one plain sweep (undamped: a run's first sweep has nothing to
+        # compare with), then one penalized sweep
         g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.1), seed=8)
         params = Params(np.array([0.5, 0.5]), np.full((2, 2), 0.1))
         state = fresh_state(g, 2, seed=9)
@@ -656,11 +710,12 @@ class TestFitDrivers:
         pi = np.array([[25 / n, 1 / n], [1 / n, 25 / n]])
         g, _ = generate_sbm(n, [0.5, 0.5], pi, seed=4)
         fit = f2ab_fit(g, k_max=8, seed=1)
-        base = {"outer", "sweeps", "mean_delta", "stop", "k_active"}
+        base = {"outer", "sweeps", "mean_delta", "stop", "damped", "k_active"}
         k_before = 8
         for index, entry in enumerate(fit.trace):
             held = entry["k_active"] == k_before
             assert set(entry) == (base | {"delta_pi"} if held else base)
+            assert entry["damped"] is False  # penalized runs never damp
             assert entry["outer"] == index
             k_before = entry["k_active"]
         assert fit.trace[0]["k_active"] < 8  # some entries lack delta_pi
@@ -668,12 +723,12 @@ class TestFitDrivers:
 
     def test_trace_with_criterion_key_still_loads(self):
         # older fit.json files carry a "criterion" value in every trace entry,
-        # and a "converged" flag in place of the stop reasons
+        # a "converged" flag in place of the stop reasons and no "damped"
         g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.15), seed=10)
         payload = json.loads(fit_result_to_json(fixed_k_fit(g, 2, seed=3)))
         del payload["stop"]
         for entry in payload["trace"]:
-            del entry["stop"]
+            del entry["stop"], entry["damped"]
             entry["criterion"] = -123.5
         for converged, stop in ((True, "tol"), (False, None)):
             payload["converged"] = converged

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -260,3 +262,15 @@ class TestAtomicWrite:
         (tmp_path / "taken").mkdir()
         assert run(self.GENERATE + [str(tmp_path / "taken")]) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+class TestStartup:
+    def test_commands_do_not_load_scipy_special(self):
+        # no fit reads scipy.special, so no command pays for importing it
+        import blockbp
+
+        src = os.path.dirname(os.path.dirname(blockbp.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, blockbp.cli, numpy, scipy.sparse; sys.exit('scipy.special' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path))
+        assert done.returncode == 0

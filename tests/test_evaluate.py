@@ -8,6 +8,8 @@ from blockbp.bp import FitResult, fixed_k_fit
 from blockbp.criteria import CriterionReport
 from blockbp.evaluate import (
     PROTOCOL_HEADER,
+    best_row,
+    planted_four_params,
     protocol_table,
     run_synthetic_protocol,
     sweep_criteria,
@@ -141,6 +143,19 @@ class TestProtocol:
         assert [k for k, _, _ in rows] == [1, 2, 3]
         for _, report, fit in rows:
             assert math.isfinite(report.ffic_lb)
+
+    def test_plain_sweep_counts_on_planted_four(self):
+        # the cicl_sweep benchmark's fits: K=1..4 on planted n=400 graphs.
+        # Damping every plain update spent 65, 67, 68, 82, 89 and 71 sweeps
+        # on these six graphs (442 in all); damping only once the messages
+        # oscillate spends 34, 43, 43, 56, 68 and 52 (296)
+        total = 0
+        for seed in range(6):
+            g, _ = generate_sbm(400, *planted_four_params(400), seed)
+            rows = sweep_criteria(g, range(1, 5), seed)
+            total += sum(entry["sweeps"] for _, _, fit in rows for entry in fit.trace)
+            assert best_row(rows, "cicl")[0] == 4, seed
+        assert total <= 360
 
     def test_cicl_sweep_recovers_planted_four(self):
         from blockbp.bp import BPOptions
