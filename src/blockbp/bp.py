@@ -37,9 +37,10 @@ records and warns about it.
 
 A fit alternates sweep runs with closed-form M-steps and spends at most
 BPOptions.max_sweeps sweeps in all: each run gets the sweeps its
-predecessors left.  Every run stops by the same rule whatever the mode, and
-names its reason ("tol", "stall" or "cap"); the fit names its own in
-FitResult.stop ("tol", "stall", "budget" or "max_outer").
+predecessors left.  Each level has one stop rule whatever the mode: a run
+stops once its messages settle or at its cap ("tol" or "cap"), and the fit
+once its affinities settle, when the budget is spent or after max_outer
+M-steps (FitResult.stop "tol", "budget" or "max_outer").
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ from .model import (
 PRUNE_SCALE = 0.1  # prune cluster k when E[zbar_k] < PRUNE_SCALE / n
 PLAIN_DAMPING = 0.5  # share of the old message a plain update keeps once damped
 START_CONFIDENCE = 0.45  # weight of the spectral label in a penalized fit's start
-STALL_SWEEPS = 25  # a run stops after this many sweeps without a 5% better message change
-STALL_OUTERS = 12  # a plain fit stops after this many M-steps without a 10% better delta_pi
 
 
 class MessageUnderflowError(RuntimeError):
@@ -84,16 +83,15 @@ class BPOptions:
 
     max_sweeps is the sweep budget of a whole fit (of one `fabbp_run` call
     when passed to it directly).  A sweep run stops once the mean absolute
-    message change per edge is at most tol_msg, after STALL_SWEEPS sweeps
-    without progress, or when the sweeps left run out; the alternation of
-    sweep runs and M-steps stops once the largest affinity change is at most
-    tol_pi, when the budget is spent, or after max_outer outer iterations (a
-    zero tolerance stops at an exact fixed point).  Everything else is set
-    by the fit method through its penalty mode: the penalized modes ("fab",
-    "fic") read the live proportions as their prior, are undamped and prune;
-    the plain mode ("none") reads gamma, never prunes, and is damped by
-    PLAIN_DAMPING from its first sweep that does not shrink the mean message
-    change to the end of the fit.  Out-of-range values, and caps that are
+    message change per edge is at most tol_msg, or when the sweeps left run
+    out; the alternation of sweep runs and M-steps stops once the largest
+    affinity change is at most tol_pi, when the budget is spent, or after
+    max_outer outer iterations (a zero tolerance stops at an exact fixed
+    point).  Everything else is set by the fit method through its penalty
+    mode: the penalized modes ("fab", "fic") read the live proportions as
+    their prior, are undamped and prune; the plain mode ("none") reads
+    gamma, never prunes, and is damped by PLAIN_DAMPING from its first sweep
+    that does not shrink the mean message change to the end of the fit.  Out-of-range values, and caps that are
     not integers, raise ValueError naming the field.
     """
 
@@ -140,7 +138,8 @@ def _normalize_rows(w, edge_of):
 
 def _greedy_colouring(src, dst, degree):
     """Proper colouring of the message graph: each node, largest degree first,
-    takes the smallest colour no coloured neighbour holds; O(n + m).
+    takes the smallest colour no coloured neighbour holds.  Sorting the 2m
+    message destinations and the n degrees makes it O(m log m + n log n).
     degree[v] counts the messages into v."""
     by_dst = np.argsort(dst, kind="stable")
     neighbours = src[by_dst].tolist()
@@ -447,12 +446,10 @@ def fabbp_run(params, state, opts, rng, penalty):
     state.damping to PLAIN_DAMPING, which stays set for the state's later
     runs (see the module docstring).  The sweep reads the affinities
     clamped into [EPS_P, 1 - EPS_P]; the returned params are the given
-    ones, sliced to the surviving clusters.  The run stops by one rule in every mode, and
-    info["stop"] names the reason: "tol" once the summed absolute message
-    change per sweep, normalized by the edge count, is at most opts.tol_msg;
-    "stall" once STALL_SWEEPS sweeps in a row have not brought it 5% below
-    its best (wandering messages, a parameter-belief limit cycle, would
-    otherwise burn the whole cap); "cap" after opts.max_sweeps sweeps.
+    ones, sliced to the surviving clusters.  The run stops by one rule in
+    every mode, and info["stop"] names the reason: "tol" once the summed
+    absolute message change per sweep, normalized by the edge count, is at
+    most opts.tol_msg; "cap" after opts.max_sweeps sweeps.
     Returns (state, params, info), info holding "sweeps", "mean_delta",
     "stop" and "damped" (whether the run ended damped).
     """
@@ -464,8 +461,6 @@ def fabbp_run(params, state, opts, rng, penalty):
 
     sweeps = 0
     mean_delta = np.inf
-    best_delta = np.inf
-    sweeps_since_best = 0
     stop = "cap"
     for _ in range(opts.max_sweeps):
         sweeps += 1
@@ -483,14 +478,6 @@ def fabbp_run(params, state, opts, rng, penalty):
         if mean_delta <= opts.tol_msg:
             stop = "tol"
             break
-        if mean_delta < 0.95 * best_delta:
-            best_delta = mean_delta
-            sweeps_since_best = 0
-        else:
-            sweeps_since_best += 1
-            if sweeps_since_best >= STALL_SWEEPS:
-                stop = "stall"
-                break
 
     damped = plain and state.damping > 0.0
     info = {"sweeps": sweeps, "mean_delta": mean_delta, "stop": stop, "damped": damped}
@@ -505,10 +492,9 @@ class FitResult:
     """Outcome of a fit: selected model size, parameters, beliefs, trace.
 
     `stop` is why the fit ended: "tol" (the affinities settled within
-    tol_pi), "stall" (a plain fit's affinity change made no progress for
-    STALL_OUTERS M-steps), "budget" (max_sweeps sweeps spent) or
-    "max_outer".  It is None only for a fit.json written before the reason
-    was recorded whose fit did not settle.
+    tol_pi), "budget" (max_sweeps sweeps spent) or "max_outer".  It is None
+    only for a fit.json written before the reason was recorded whose fit did
+    not settle; a loaded file keeps whatever reason it stored.
     """
 
     selected_k: int
@@ -556,11 +542,8 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
     call is passed the sweeps still left as its cap.  The fit stops once
     the M-step's largest affinity change is at most opts.tol_pi ("tol"),
     when no sweep is left ("budget"), or after opts.max_outer iterations
-    ("max_outer"); plain fits also stop after STALL_OUTERS M-steps without
-    a 10% smaller affinity change ("stall").  Penalized fits skip that
-    guard: their affinities can sit on a plateau for many outers while
-    twin clusters decide which one to keep.  The reason goes into
-    FitResult.stop.
+    ("max_outer"), by the same rule in every penalty mode.  The reason goes
+    into FitResult.stop.
 
     Each outer iteration appends one trace entry with its index (`outer`),
     the sweep count, final mean message change and stop reason of its sweep
@@ -608,8 +591,6 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
     trace = []
     budget = opts.max_sweeps
     stop = "max_outer"
-    best_dpi = np.inf
-    outers_since_best = 0
     for outer in range(opts.max_outer):
         k_before = state.k_active
         run_opts = replace(opts, max_sweeps=budget)  # the sweeps left
@@ -638,16 +619,6 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
         if budget == 0:
             stop = "budget"
             break
-        # plain sweeps never prune, so delta_pi is always set here
-        if penalty == "none":
-            if delta_pi < 0.9 * best_dpi:
-                best_dpi = delta_pi
-                outers_since_best = 0
-            else:
-                outers_since_best += 1
-                if outers_since_best >= STALL_OUTERS:
-                    stop = "stall"
-                    break
 
     report = criteria.criterion_report(graph, state, params)
     return FitResult(

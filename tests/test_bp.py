@@ -575,12 +575,20 @@ class TestFitDrivers:
         assert fit.stop == "tol"
         assert sum(entry["sweeps"] for entry in fit.trace) <= 30
 
-    @pytest.mark.parametrize("n, seed", [(42, 504548), (51, 509447)])
-    def test_structureless_graph_ends_on_the_sweep_budget(self, n, seed):
-        # Erdős–Rényi graphs on which the penalized messages keep cycling:
-        # without a fit-wide budget these ran 7557 and 11 385 sweeps
-        g, _ = generate_sbm(n, [1.0], [[0.4]], seed)
-        fit = f2ab_fit(g, 20, seed)
+    @pytest.mark.parametrize(
+        "fit_method, n, p, k, seed",
+        [
+            pytest.param(f2ab_fit, 42, 0.4, 20, 504548, id="42-504548"),
+            pytest.param(f2ab_fit, 51, 0.4, 20, 509447, id="51-509447"),
+            pytest.param(fixed_k_fit, 60, 0.1, 3, 3, id="fixed-k-60-3"),
+        ],
+    )
+    def test_structureless_graph_ends_on_the_sweep_budget(self, fit_method, n, p, k, seed):
+        # Erdős–Rényi graphs on which the messages keep cycling: without a
+        # fit-wide budget the two penalized fits ran 7557 and 11 385 sweeps;
+        # the plain fit's affinities keep wandering until the budget is spent
+        g, _ = generate_sbm(n, [1.0], [[p]], seed)
+        fit = fit_method(g, k, seed)
         assert fit.stop == "budget"
         assert sum(entry["sweeps"] for entry in fit.trace) <= BPOptions().max_sweeps
 
@@ -725,7 +733,18 @@ class TestFitDrivers:
         # older fit.json files carry a "criterion" value in every trace entry,
         # a "converged" flag in place of the stop reasons and no "damped"
         g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.15), seed=10)
-        payload = json.loads(fit_result_to_json(fixed_k_fit(g, 2, seed=3)))
+        text = fit_result_to_json(fixed_k_fit(g, 2, seed=3))
+        # files from the releases with stall guards name "stall" as the
+        # reason of the fit and of its runs; a stored reason loads as it is
+        payload = json.loads(text)
+        payload["stop"] = "stall"
+        for entry in payload["trace"]:
+            entry["stop"] = "stall"
+        back = fit_result_from_json(json.dumps(payload))
+        assert back.stop == "stall"
+        assert back.trace == payload["trace"]
+
+        payload = json.loads(text)
         del payload["stop"]
         for entry in payload["trace"]:
             del entry["stop"], entry["damped"]

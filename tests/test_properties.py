@@ -3,9 +3,10 @@
 Graphs have 1-18 nodes and random pairs, self-loops and isolated nodes
 included; the cluster count asked for runs from 1 to 6, above n as well.
 Each fit must end without an exception (a RuntimeWarning is one under the
-suite's filters) and within its sweep budget, name one of the four stop
-reasons, give (n, K) beliefs that are finite with rows summing to 1, and
-criteria that are finite or flagged degenerate.
+suite's filters) and within its sweep budget, name one of the three fit stop
+reasons and one of the two run stop reasons in each trace entry, give (n, K)
+beliefs that are finite with rows summing to 1, and criteria that are finite
+or flagged degenerate.
 """
 
 import math
@@ -38,7 +39,8 @@ def graphs(draw):
 def test_every_small_graph_gives_a_finished_fit(graph, k, fit_method, fit_seed):
     fit = fit_method(graph, k, fit_seed, OPTS)
     assert sum(entry["sweeps"] for entry in fit.trace) <= OPTS.max_sweeps
-    assert fit.stop in ("tol", "stall", "budget", "max_outer")
+    assert fit.stop in ("tol", "budget", "max_outer")
+    assert all(entry["stop"] in ("tol", "cap") for entry in fit.trace)
     beliefs = fit.node_marginals
     assert beliefs.shape == (graph.n, fit.selected_k)
     assert np.all(np.isfinite(beliefs))
