@@ -1,16 +1,19 @@
 """Belief propagation for sparse block models, plain and penalty-augmented.
 
-Each BeliefState holds a greedy proper colouring of its graph.  A sweep
+Each BeliefState stores an edge's two messages side by side, i->j at an
+even row and j->i at the odd row after it, so the reverse of message e is
+e ^ 1.  It also holds a greedy proper colouring of its graph.  A sweep
 visits the colour classes in an order the sweep RNG shuffles afresh each
 sweep.  Nodes of one class share no edge, so every message a class reads
-comes from other classes, and the whole class updates its beliefs and
-outgoing messages in a few array operations.  The incremental moment caches
-take one rank update per class (and are restored exactly at every sweep
-boundary).  Unconnected-node factors are folded into a shared external
-field, keeping a sweep at O(m K^2).  The moment caches and the criteria read
-the pairwise edge beliefs only through one (m, K) contraction,
-`BeliefState.edge_contraction`; the (m, K, K) beliefs of
-`BeliefState.edge_beliefs` are kept as the tests' reference.
+comes from other classes, and the whole class gathers its in-messages,
+updates its beliefs and writes its out-messages in a few array
+operations.  The incremental moment caches take one rank update per class
+(and are restored exactly at every sweep boundary).  Unconnected-node
+factors are folded into a shared external field, keeping a sweep at
+O(m K^2).  The moment caches and the criteria read the pairwise edge
+beliefs only through one (m, K) contraction, `BeliefState.edge_contraction`;
+the (m, K, K) beliefs of `BeliefState.edge_beliefs` are kept as the tests'
+reference.
 
 The fit method picks the penalty mode of its sweeps, and the mode sets
 everything about a sweep that is not a stopping value:
@@ -136,13 +139,13 @@ def _normalize_rows(w, edge_of):
     return w
 
 
-def _greedy_colouring(src, dst, degree):
+def _greedy_colouring(src, into, degree):
     """Proper colouring of the message graph: each node, largest degree first,
-    takes the smallest colour no coloured neighbour holds.  Sorting the 2m
-    message destinations and the n degrees makes it O(m log m + n log n).
-    degree[v] counts the messages into v."""
-    by_dst = np.argsort(dst, kind="stable")
-    neighbours = src[by_dst].tolist()
+    takes the smallest colour no coloured neighbour holds.  into lists the
+    message ids grouped by receiving node (the degree[v] messages into v,
+    node by node), so the senders src[into] are every node's neighbours;
+    with the argsort of the n degrees it is O(m + n log n)."""
+    neighbours = src[into].tolist()
     ptr = np.concatenate([[0], np.cumsum(degree)]).tolist()
     colour = [-1] * degree.size
     for v in np.argsort(-degree, kind="stable").tolist():
@@ -159,10 +162,9 @@ class InLists:
     """The in-messages of a set of nodes, grouped by node.
 
     ids[starts[r]:starts[r] + count] are the messages into nodes[r]; owner
-    maps each id to its row r; src and rev hold each id's sender and the
-    stored row of its reverse message (the out-message that answers it);
-    filled lists the rows with at least one message, so empty segments
-    never reach np.add.reduceat.
+    maps each id to its row r; src holds each id's sender, and id ^ 1 is the
+    out-message that answers it; filled lists the rows with at least one
+    message, so empty segments never reach np.add.reduceat.
     """
 
     nodes: np.ndarray
@@ -171,7 +173,6 @@ class InLists:
     starts: np.ndarray
     filled: np.ndarray
     src: np.ndarray
-    rev: np.ndarray
 
     def segment_sum(self, values):
         """Per-node sums of values (one row per id); zero rows for nodes without messages."""
@@ -191,10 +192,13 @@ class BeliefState:
     at the affinities of `params`; K is the matrix's column count.  Owned
     by exactly one fit run; the underlying Graph is shared read-only.
     Messages exist for both orientations of every non-self-loop training
-    edge; self-loops contribute to statistics but carry no message.
-    `classes` holds the InLists of the colour classes of a greedy proper
-    colouring (largest degree first).  `damping` is the share of the old
-    message a plain update keeps: 0 until `fabbp_run` turns it on.
+    edge, the r-th such edge row (i, j) carrying i->j at row 2r and j->i at
+    row 2r + 1 of `messages`; `src` holds each message's sender, and `into`
+    the message ids grouped by receiving node.  Self-loops contribute to
+    statistics but carry no message.  `classes` holds the InLists of the
+    colour classes of a greedy proper colouring (largest degree first).
+    `damping` is the share of the old message a plain update keeps: 0 until
+    `fabbp_run` turns it on.
     """
 
     def __init__(self, graph, beliefs, params):
@@ -202,29 +206,16 @@ class BeliefState:
         self.n = graph.n
 
         pairs = graph.edges[graph.edges[:, 0] != graph.edges[:, 1]]
-        m = pairs.shape[0]
-        self.m_directed = 2 * m
-        # edge row r = (i, j) carries messages i->j and j->i (2r and 2r + 1
-        # here); they are stored grouped by the colour class, then the node,
-        # they flow into, so each class reads its in-messages as one block,
-        # and forward/reverse give the stored rows of each edge row's pair
-        src = pairs.reshape(-1)
-        dst = pairs[:, ::-1].reshape(-1)
-        colour = _greedy_colouring(src, dst, graph.degrees)
-        order = np.lexsort((dst, colour[dst]))
-        position = np.empty_like(order)
-        position[order] = np.arange(2 * m)
-        self.src, self.dst = src[order], dst[order]
-        self.rev = position[order ^ 1]
-        self.forward, self.reverse = position[0::2], position[1::2]
-
-        # nodes in storage order: node v's in-messages are the in_count[v]
-        # rows from in_first[v], one per non-self-loop edge at v
-        by_colour = np.argsort(colour, kind="stable")
+        self.m_directed = 2 * pairs.shape[0]
+        # message 2r is edge row r's i->j and 2r + 1 its j->i; node v's
+        # in-messages are into[in_first[v]:in_first[v] + in_count[v]], one
+        # per non-self-loop edge at v
+        self.src = pairs.reshape(-1)
+        self.into = np.argsort(pairs[:, ::-1].reshape(-1), kind="stable")
         self.in_count = graph.degrees
-        counts = self.in_count[by_colour]
-        self.in_first = np.empty(self.n, dtype=np.int64)
-        self.in_first[by_colour] = np.cumsum(counts) - counts
+        self.in_first = np.cumsum(self.in_count) - self.in_count
+        colour = _greedy_colouring(self.src, self.into, self.in_count)
+        by_colour = np.argsort(colour, kind="stable")
         self.self_loops = graph.edges[graph.edges[:, 0] == graph.edges[:, 1]]
         bounds = np.cumsum(np.bincount(colour))[:-1]
         self.classes = [self.in_lists(nodes) for nodes in np.split(by_colour, bounds)]
@@ -232,8 +223,6 @@ class BeliefState:
         self.node_belief = np.array(beliefs, dtype=np.float64)
         self.messages = self.node_belief[self.src]
         self.damping = 0.0
-        # free the layout temporaries before the refresh's (m, K) arrays
-        del pairs, src, dst, order, position, colour, by_colour, counts
         self.refresh_moments(params)
 
     def in_lists(self, nodes):
@@ -242,10 +231,8 @@ class BeliefState:
         counts = self.in_count[nodes]
         starts = np.cumsum(counts) - counts
         owner = np.repeat(np.arange(nodes.size), counts)
-        ids = self.in_first[nodes][owner] + np.arange(owner.size) - starts[owner]
-        return InLists(
-            nodes, ids, owner, starts, np.flatnonzero(counts), self.src[ids], self.rev[ids]
-        )
+        ids = self.into[self.in_first[nodes][owner] + np.arange(owner.size) - starts[owner]]
+        return InLists(nodes, ids, owner, starts, np.flatnonzero(counts), self.src[ids])
 
     # -- views ---------------------------------------------------------------
 
@@ -280,24 +267,29 @@ class BeliefState:
         nonself = edges[:, 0] != edges[:, 1]
         if self.m_directed:
             # in place, so one (m, K, K) temporary lives beside the output
-            t = self.messages[self.forward, :, None] * params.pi
-            t *= self.messages[self.reverse, None, :]
+            t = self.messages[0::2, :, None] * params.pi
+            t *= self.messages[1::2, None, :]
             t /= np.clip(t.sum(axis=(1, 2), keepdims=True), 1e-300, None)
             out[nonself] = t
         out[~nonself] = self.node_belief[edges[~nonself, 0], :, None] * np.eye(k)
         return out
 
+    def edge_messages(self):
+        """(F, R): the forward and reverse message of each message-carrying
+        edge row, as contiguous copies of the even and odd message rows
+        (strided views would move the rounding of the GEMMs that read them)."""
+        return self.messages[0::2].copy(), self.messages[1::2].copy()
+
     def edge_contraction(self, params):
         """Per-edge normalisers and summed pairwise belief of the message edges.
 
-        For edge row e with forward message f_e and reverse message r_e the
-        pairwise belief is b_e = f_e r_e^T * pi / z_e with z_e = f_e^T pi r_e.
-        Returns (z, s): z holds z_e per message-carrying edge row (in the
-        order of `forward`), clipped below at 1e-300, and s = sum_e b_e =
-        pi * ((F / z)^T R), one GEMM, without the (m, K, K) beliefs.
+        For edge row e with forward message f_e and reverse message r_e (see
+        `edge_messages`) the pairwise belief is b_e = f_e r_e^T * pi / z_e
+        with z_e = f_e^T pi r_e.  Returns (z, s): z holds z_e per
+        message-carrying edge row, clipped below at 1e-300, and s = sum_e b_e
+        = pi * ((F / z)^T R), one GEMM, without the (m, K, K) beliefs.
         """
-        mu_f = self.messages[self.forward]
-        mu_r = self.messages[self.reverse]
+        mu_f, mu_r = self.edge_messages()
         z = np.clip(((mu_f @ params.pi) * mu_r).sum(axis=1), 1e-300, None)
         return z, params.pi * ((mu_f / z[:, None]).T @ mu_r)
 
@@ -396,9 +388,7 @@ def _update_class(state, cls, params, penalty):
     """
     n, pi = state.n, params.pi
     plain = penalty == "none"
-    out = cls.rev  # out-message i->j sits on the row of in-message j->i
-    # a gathered copy: a view of the class's block would move the rounding
-    # of the GEMMs below
+    out = cls.ids ^ 1  # out-message i->j answers in-message j->i
     in_msgs = state.messages.take(cls.ids, axis=0)
     in_vals = in_msgs @ pi
     with np.errstate(divide="ignore"):  # a pruned message row can be all zero
@@ -417,7 +407,7 @@ def _update_class(state, cls, params, penalty):
     weights = np.exp(base - np.ascontiguousarray(base.T).max(axis=0)[:, None])
     new_msgs = _normalize_rows(
         weights.take(cls.owner, axis=0) / in_vals,
-        lambda r: (int(state.src[out[r]]), int(state.dst[out[r]])),
+        lambda r: (int(state.src[out[r]]), int(cls.src[r])),
     )
     new_belief = _normalize_rows(weights, lambda r: (int(cls.nodes[r]),) * 2)
     old_msgs = state.messages.take(out, axis=0)
@@ -598,14 +588,7 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
         budget -= info["sweeps"]
         moments = state.moments()
         new_params, _ = m_step(moments)
-        entry = {
-            "outer": outer,
-            "sweeps": info["sweeps"],
-            "mean_delta": info["mean_delta"],
-            "stop": info["stop"],
-            "damped": info["damped"],
-            "k_active": state.k_active,
-        }
+        entry = {"outer": outer, **info, "k_active": state.k_active}
         if state.k_active == k_before:
             delta_pi = float(np.max(np.abs(new_params.pi - params.pi)))
             entry["delta_pi"] = delta_pi

@@ -128,8 +128,7 @@ def _bethe_entropy(graph, state, pi, z):
     leave a rounding error near 1e-13 of the entropy of a fitted state.
     """
     node_part = float(((1.0 - graph.degrees) * -_plogp(state.node_belief).sum(axis=1)).sum())
-    f = state.messages[state.forward]
-    r = state.messages[state.reverse]
+    f, r = state.edge_messages()
     per_edge = np.einsum("ek,ek->e", _plogp(f), r @ pi.T)
     per_edge += np.einsum("ek,ek->e", _plogp(r), f @ pi)
     per_edge += np.einsum("ek,ek->e", f @ (pi * np.log(pi)), r)
@@ -246,7 +245,7 @@ def exact_joint_marginal(graph, labels, k=None):
     return ExactMarginal(value, False, "")
 
 
-def joint_marginal_laplace(graph, labels, params_hat=None, k=None):
+def joint_marginal_laplace(graph, labels, k=None):
     """Asymptotic expansion of log p(X, Z) around the likelihood maximum.
 
     Occupied clusters and biclusters take the Laplace route (curvature
@@ -261,8 +260,7 @@ def joint_marginal_laplace(graph, labels, params_hat=None, k=None):
     counts = label_counts(labels, k)
     zbar = counts / n
     moments = hard_moments(graph, labels, k)
-    if params_hat is None:
-        params_hat, _ = m_step(moments)
+    params_hat, _ = m_step(moments)
 
     occupied = counts > 0
     s_set = np.flatnonzero(occupied).tolist()

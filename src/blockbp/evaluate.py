@@ -167,19 +167,20 @@ def protocol_table(rows):
     return "\n".join(lines) + "\n"
 
 
-def masked_prediction_run(n, seed, k_max, fraction=0.01, opts=None):
+def masked_prediction_run(n, seed, k_max):
     """Generate, mask, fit, and score one prediction experiment.
 
-    Returns (fit EvalReport, baseline EvalReport) where the baseline is the
-    K=1 density-only fit on the same masked graph.
+    1% of the pairs are held out.  Returns (fit EvalReport, baseline
+    EvalReport) where the baseline is the K=1 density-only fit on the same
+    masked graph.
     """
     gamma, pi = planted_four_params(n)
     graph, planted = generate_sbm(n, gamma, pi, seed)
-    masked_graph = mask_pairs(graph, fraction, seed + 10_000)
+    masked_graph = mask_pairs(graph, 0.01, seed + 10_000)
     obs = masked_graph.masked
 
     start = time.perf_counter()
-    fit = bp.f2ab_fit(masked_graph, k_max, seed, opts=opts)
+    fit = bp.f2ab_fit(masked_graph, k_max, seed)
     fit_seconds = time.perf_counter() - start
     report = EvalReport(
         npll=npll(fit, obs),
@@ -190,7 +191,7 @@ def masked_prediction_run(n, seed, k_max, fraction=0.01, opts=None):
     )
 
     start = time.perf_counter()
-    base = bp.fixed_k_fit(masked_graph, 1, seed, opts=opts)
+    base = bp.fixed_k_fit(masked_graph, 1, seed)
     base_seconds = time.perf_counter() - start
     base_report = EvalReport(
         npll=npll(base, obs),

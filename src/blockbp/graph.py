@@ -143,6 +143,23 @@ class PlantedAssignment:
 # -- edge-list text format -------------------------------------------------
 
 
+def _records(text, width, expected):
+    """(line number, tokens) of each data line of text, numbered from 1.
+
+    Blank lines and lines whose first token starts with '#' are skipped.  A
+    data line without `width` whitespace-separated tokens raises
+    EdgeListParseError with the message `expected`, formatted with the
+    token count (found) and the line (raw).
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) != width:
+            raise EdgeListParseError(expected.format(found=len(tokens), raw=raw), lineno)
+        yield lineno, tokens
+
+
 def parse_edge_list(text):
     """Parse whitespace-separated edge-list text into a Graph.
 
@@ -150,30 +167,14 @@ def parse_edge_list(text):
     Tokens map to dense 0-based indices in first-appearance order.  Lines
     starting with '#' and blank lines are skipped.  Duplicate edges collapse.
     """
-    if hasattr(text, "read"):
-        text = text.read()
-    ids = {}
-    order = []
-    pairs = []
-    for lineno, raw in enumerate(str(text).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise EdgeListParseError(
-                f"expected two tokens, found {len(tokens)}: {raw!r}", lineno
-            )
-        idx = []
-        for tok in tokens:
-            if tok not in ids:
-                ids[tok] = len(ids)
-                order.append(tok)
-            idx.append(ids[tok])
-        pairs.append(idx)
+    ids = {}  # token -> index, in first-appearance order
+    pairs = [
+        (ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
+        for _, (a, b) in _records(text, 2, "expected two tokens, found {found}: {raw!r}")
+    ]
     if not pairs:
         raise EdgeListParseError("no edges")
-    return Graph(len(ids), pairs, node_ids=order)
+    return Graph(len(ids), pairs, node_ids=list(ids))
 
 
 def serialize_edge_list(graph):
@@ -196,13 +197,7 @@ def _ints(tokens, lineno):
 
 def parse_labels(text):
     entries = {}
-    for lineno, raw in enumerate(str(text).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise EdgeListParseError("expected 'node_id cluster_index'", lineno)
+    for lineno, tokens in _records(text, 2, "expected 'node_id cluster_index'"):
         node, cluster = _ints(tokens, lineno)
         if node < 0 or cluster < 0:
             raise EdgeListParseError("node ids and cluster indices must be nonnegative", lineno)
@@ -224,13 +219,7 @@ def serialize_masked(masked):
 
 def parse_masked(text):
     masked = {}
-    for lineno, raw in enumerate(str(text).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise EdgeListParseError("expected 'i j observed_bit'", lineno)
+    for lineno, tokens in _records(text, 3, "expected 'i j observed_bit'"):
         i, j, bit = _ints(tokens, lineno)
         if min(i, j) < 0:
             raise EdgeListParseError(f"negative node id in pair ({i}, {j})", lineno)

@@ -211,8 +211,7 @@ def random_state(graph, k, rng):
     state = BeliefState(graph, np.full((graph.n, k), 1.0 / k), uniform)
     draws = rng.uniform(0.1, 1.0, size=(state.m_directed, k))
     draws /= draws.sum(axis=1, keepdims=True)
-    state.messages[state.forward] = draws[0::2]
-    state.messages[state.reverse] = draws[1::2]
+    state.messages[:] = draws
     state.node_belief = rng.uniform(0.1, 1.0, size=(graph.n, k))
     state.node_belief /= state.node_belief.sum(axis=1, keepdims=True)
     state.h = state.node_belief.sum(axis=0)
@@ -231,7 +230,8 @@ def per_node_sweep(state, params, order, damping, include_field=False, live_prio
     """
     msgs = state.messages.copy()
     beliefs = state.node_belief.copy()
-    lookup = {(int(i), int(j)): e for e, (i, j) in enumerate(zip(state.src, state.dst))}
+    senders = state.src.tolist()
+    lookup = {(senders[e], senders[e ^ 1]): e for e in range(state.m_directed)}
     neighbours = {v: [] for v in range(state.n)}
     for i, j in lookup:
         neighbours[i].append(j)

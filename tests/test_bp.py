@@ -152,7 +152,9 @@ class TestMessageUpdates:
         monkeypatch.setattr(bp, "compute_penalty", constant_penalty(np.zeros(2)))
         one_sweep(params, state, penalty="fab")
         for end in (0, 2):
-            leaf_to_centre = np.flatnonzero((state.src == end) & (state.dst == 1))[0]
+            # message e runs from src[e] to src[e ^ 1]
+            ids = np.arange(state.m_directed)
+            leaf_to_centre = np.flatnonzero((state.src == end) & (state.src[ids ^ 1] == 1))[0]
             h = h_at_class_start[end]
             expected = (h / g.n) * np.exp(-params.pi @ h)
             assert state.messages[leaf_to_centre] == pytest.approx(
@@ -220,15 +222,16 @@ class TestColourClasses:
             nodes = np.concatenate([cls.nodes for cls in state.classes])
             assert np.array_equal(np.sort(nodes), np.arange(g.n))
             colour = np.empty(g.n, dtype=np.int64)
+            edges = g.edges[g.edges[:, 0] != g.edges[:, 1]]
+            # edge row r's messages i->j and j->i sit at rows 2r and 2r + 1
+            assert np.array_equal(state.src[0::2], edges[:, 0])
+            assert np.array_equal(state.src[1::2], edges[:, 1])
             for c, cls in enumerate(state.classes):
                 colour[cls.nodes] = c
-                # in-lists grouped by node: each id points into its owner,
-                # and rev holds the owner's answer to each sender
-                assert np.array_equal(state.dst[cls.ids], cls.nodes[cls.owner])
+                # in-lists grouped by node: each id's reverse ids ^ 1 is
+                # sent by its owner, so each id points into its owner
                 assert np.array_equal(cls.src, state.src[cls.ids])
-                assert np.array_equal(state.src[cls.rev], cls.nodes[cls.owner])
-                assert np.array_equal(state.dst[cls.rev], cls.src)
-            edges = g.edges[g.edges[:, 0] != g.edges[:, 1]]
+                assert np.array_equal(state.src[cls.ids ^ 1], cls.nodes[cls.owner])
             assert np.all(colour[edges[:, 0]] != colour[edges[:, 1]])
 
     def test_colouring_draws_nothing_from_the_rng(self):

@@ -48,6 +48,7 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListParseError) as exc:
             parse_edge_list("0 1\n0 1 2\n")
         assert exc.value.line_number == 2
+        assert str(exc.value) == "line 2: expected two tokens, found 3: '0 1 2'"
 
     def test_empty_input(self):
         with pytest.raises(EdgeListParseError, match="no edges"):
