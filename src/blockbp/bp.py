@@ -2,13 +2,17 @@
 
 Each BeliefState stores an edge's two messages side by side, i->j at an
 even row and j->i at the odd row after it, so the reverse of message e is
-e ^ 1.  It also holds a greedy proper colouring of its graph.  A sweep
-visits the colour classes in an order the sweep RNG shuffles afresh each
-sweep.  Nodes of one class share no edge, so every message a class reads
-comes from other classes, and the whole class gathers its in-messages,
-updates its beliefs and writes its out-messages in a few array
-operations.  The incremental moment caches take one rank update per class
-(and are restored exactly at every sweep boundary).  Unconnected-node
+e ^ 1, and sweeps over the colour classes of a greedy proper colouring of
+its graph.  That layout depends on the graph alone: `MessageLayout` builds
+it once per Graph, and every BeliefState on the graph shares it read-only.
+A sweep visits the colour classes in an order the sweep RNG shuffles
+afresh each sweep.  Nodes of one class share no edge, so every message a
+class reads comes from other classes, and the whole class gathers its
+in-messages, updates its beliefs and writes its out-messages in a few
+array operations.  Penalized sweeps keep both incremental moment caches
+live (one rank update per class, restored exactly at every sweep
+boundary); plain sweeps keep only h live, since nothing in them reads
+zzbar, and recompute both caches when the run ends.  Unconnected-node
 factors are folded into a shared external field, keeping a sweep at
 O(m K^2).  The moment caches and the criteria read the pairwise edge
 beliefs only through one (m, K) contraction, `BeliefState.edge_contraction`;
@@ -184,55 +188,74 @@ class InLists:
         return out
 
 
+class MessageLayout:
+    """Where a graph's messages sit and who reads them; the same for every
+    K, so `BeliefState` takes it from `graph.derived(MessageLayout)` and
+    the fits on one Graph build it once.
+
+    Messages exist for both orientations of every non-self-loop training
+    edge, the r-th such edge row (i, j) carrying i->j at row 2r and j->i at
+    row 2r + 1; `src` holds each message's sender, and `into` the message
+    ids grouped by receiving node: node v's in-messages are
+    into[in_first[v]:in_first[v] + in_count[v]], one per non-self-loop edge
+    at v.  `self_loops` holds the self-loop edge rows, which contribute to
+    statistics but carry no message.  `classes` holds the InLists of the
+    colour classes of a greedy proper colouring (largest degree first).
+    Every array is read-only: fits share the layout.
+    """
+
+    def __init__(self, graph):
+        pairs = graph.edges[graph.edges[:, 0] != graph.edges[:, 1]]
+        self.src = pairs.reshape(-1)
+        self.into = np.argsort(pairs[:, ::-1].reshape(-1), kind="stable")
+        self.in_count = graph.degrees
+        self.in_first = np.cumsum(self.in_count) - self.in_count
+        self.self_loops = graph.edges[graph.edges[:, 0] == graph.edges[:, 1]]
+        for a in (self.src, self.into, self.in_first, self.self_loops):
+            a.setflags(write=False)
+        colour = _greedy_colouring(self.src, self.into, self.in_count)
+        by_colour = np.argsort(colour, kind="stable")
+        bounds = np.cumsum(np.bincount(colour))[:-1]
+        self.classes = tuple(self.in_lists(nodes) for nodes in np.split(by_colour, bounds))
+
+    def in_lists(self, nodes):
+        """Read-only InLists of the given node-index array."""
+        nodes = np.array(nodes, dtype=np.int64)
+        counts = self.in_count[nodes]
+        starts = np.cumsum(counts) - counts
+        owner = np.repeat(np.arange(nodes.size), counts)
+        ids = self.into[self.in_first[nodes][owner] + np.arange(owner.size) - starts[owner]]
+        lists = InLists(nodes, ids, owner, starts, np.flatnonzero(counts), self.src[ids])
+        for a in vars(lists).values():
+            a.setflags(write=False)
+        return lists
+
+
 class BeliefState:
     """Mutable per-run state: directed messages, node beliefs, moment caches.
 
     Built from an (n, K) belief matrix: node i's belief is row i, every
     message i->j starts as b_i, and the moment caches are computed exactly
     at the affinities of `params`; K is the matrix's column count.  Owned
-    by exactly one fit run; the underlying Graph is shared read-only.
-    Messages exist for both orientations of every non-self-loop training
-    edge, the r-th such edge row (i, j) carrying i->j at row 2r and j->i at
-    row 2r + 1 of `messages`; `src` holds each message's sender, and `into`
-    the message ids grouped by receiving node.  Self-loops contribute to
-    statistics but carry no message.  `classes` holds the InLists of the
-    colour classes of a greedy proper colouring (largest degree first).
-    `damping` is the share of the old message a plain update keeps: 0 until
-    `fabbp_run` turns it on.
+    by exactly one fit run; the underlying Graph and its `MessageLayout`
+    (`layout`, whose `src`, `classes` and `self_loops` the state names
+    too) are shared read-only.  A penalized sweep keeps both caches live;
+    a plain sweep keeps h live and leaves zzbar_cache stale until its run
+    ends (see `fabbp_run`).  `damping` is the share of the old message a
+    plain update keeps: 0 until `fabbp_run` turns it on.
     """
 
     def __init__(self, graph, beliefs, params):
         self.graph = graph
         self.n = graph.n
-
-        pairs = graph.edges[graph.edges[:, 0] != graph.edges[:, 1]]
-        self.m_directed = 2 * pairs.shape[0]
-        # message 2r is edge row r's i->j and 2r + 1 its j->i; node v's
-        # in-messages are into[in_first[v]:in_first[v] + in_count[v]], one
-        # per non-self-loop edge at v
-        self.src = pairs.reshape(-1)
-        self.into = np.argsort(pairs[:, ::-1].reshape(-1), kind="stable")
-        self.in_count = graph.degrees
-        self.in_first = np.cumsum(self.in_count) - self.in_count
-        colour = _greedy_colouring(self.src, self.into, self.in_count)
-        by_colour = np.argsort(colour, kind="stable")
-        self.self_loops = graph.edges[graph.edges[:, 0] == graph.edges[:, 1]]
-        bounds = np.cumsum(np.bincount(colour))[:-1]
-        self.classes = [self.in_lists(nodes) for nodes in np.split(by_colour, bounds)]
+        self.layout = layout = graph.derived(MessageLayout)
+        self.src, self.classes, self.self_loops = layout.src, layout.classes, layout.self_loops
+        self.m_directed = self.src.size
 
         self.node_belief = np.array(beliefs, dtype=np.float64)
         self.messages = self.node_belief[self.src]
         self.damping = 0.0
         self.refresh_moments(params)
-
-    def in_lists(self, nodes):
-        """InLists of the given node-index array."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        counts = self.in_count[nodes]
-        starts = np.cumsum(counts) - counts
-        owner = np.repeat(np.arange(nodes.size), counts)
-        ids = self.into[self.in_first[nodes][owner] + np.arange(owner.size) - starts[owner]]
-        return InLists(nodes, ids, owner, starts, np.flatnonzero(counts), self.src[ids])
 
     # -- views ---------------------------------------------------------------
 
@@ -250,8 +273,8 @@ class BeliefState:
         `lists`, when given, is the InLists of the node array.
         """
         if lists is None:
-            lists = self.in_lists(np.atleast_1d(node))
-        out = lists.segment_sum(self.node_belief[lists.src])
+            lists = self.layout.in_lists(np.atleast_1d(node))
+        out = lists.segment_sum(self.node_belief.take(lists.src, axis=0))
         return out if np.ndim(node) else out[0]
 
     def edge_beliefs(self, params):
@@ -356,8 +379,10 @@ def compute_penalty(state, node, mode="fab", lists=None):
     # cluster's penalty grow at the next colour class instead of waiting for
     # the next closed-form update
     n = state.n
-    b = state.node_belief[node]
-    t = np.clip(state.h - b + 1.0, 1.0, None)
+    b = state.node_belief.take(node, axis=0)
+    t = state.h - b
+    t += 1.0
+    np.maximum(t, 1.0, out=t)
     r1_term = 0.5 * np.log1p(1.0 / t)
     if mode == "fic":
         k = state.k_active
@@ -365,7 +390,7 @@ def compute_penalty(state, node, mode="fab", lists=None):
     nbr = state.neighbor_belief_sum(node, lists)
     big_t = np.multiply(b[..., :, None], nbr[..., None, :])
     np.subtract(n * n * state.zzbar_cache + 1.0, big_t, out=big_t)
-    np.clip(big_t, 1.0, None, out=big_t)
+    np.maximum(big_t, 1.0, out=big_t)
     terms = np.divide(nbr[..., None, :], big_t)
     np.log1p(terms, out=terms)
     # the last-axis sum as one product with ones (see _normalize_rows)
@@ -381,8 +406,9 @@ def _update_class(state, cls, params, penalty):
 
     The class shares no edge, so all the messages it reads come from other
     classes; h and zzbar_cache are read as they stood when the class
-    started and then take one rank update each.  `penalty` is the sweep's
-    penalty mode (see the module docstring); a plain update keeps the share
+    started and then take one rank update each (h only, in a plain update,
+    which reads no zzbar_cache).  `penalty` is the sweep's penalty mode
+    (see the module docstring); a plain update keeps the share
     state.damping of each old message.  Returns the summed absolute message
     change.
     """
@@ -415,8 +441,9 @@ def _update_class(state, cls, params, penalty):
         new_msgs *= 1.0 - state.damping
         new_msgs += state.damping * old_msgs
     deltas = np.subtract(new_msgs, old_msgs, out=old_msgs)
-    u = pi * (deltas.T @ in_msgs) / n**2
-    state.zzbar_cache += 0.5 * (u + u.T)
+    if not plain:  # a plain sweep reads no zzbar_cache (see fabbp_run)
+        u = pi * (deltas.T @ in_msgs) / n**2
+        state.zzbar_cache += 0.5 * (u + u.T)
     state.messages[out] = new_msgs
     state.h += (new_belief - state.node_belief.take(cls.nodes, axis=0)).sum(axis=0)
     state.node_belief[cls.nodes] = new_belief
@@ -429,12 +456,17 @@ def fabbp_run(params, state, opts, rng, penalty):
     Each sweep visits the colour classes of state.classes in an order drawn
     afresh from rng, updating all beliefs and outgoing messages of a class
     at once (nodes of a class share no edge, so the class update equals the
-    node-by-node one) and maintaining incremental moment caches.  `penalty`
-    is the penalty mode: "fab" and "fic" prune low-mass clusters after each
-    class and never damp; "none" never prunes, and its first sweep whose
-    mean message change is not below the previous sweep's sets
-    state.damping to PLAIN_DAMPING, which stays set for the state's later
-    runs (see the module docstring).  The sweep reads the affinities
+    node-by-node one).  Penalized sweeps keep both moment caches live: one
+    rank update per class, and an exact recomputation at every sweep
+    boundary.  A plain sweep reads only h (through the external field), so
+    it keeps h live the same way and leaves zzbar_cache stale; the run
+    recomputes both caches exactly once it ends, so every run returns both
+    caches exact.  `penalty` is the penalty mode:
+    "fab" and "fic" prune low-mass clusters after each class and never
+    damp; "none" never prunes, and its first sweep whose mean message
+    change is not below the previous sweep's sets state.damping to
+    PLAIN_DAMPING, which stays set for the state's later runs (see the
+    module docstring).  The sweep reads the affinities
     clamped into [EPS_P, 1 - EPS_P]; the returned params are the given
     ones, sliced to the surviving clusters.  The run stops by one rule in
     every mode, and info["stop"] names the reason: "tol" once the summed
@@ -461,7 +493,10 @@ def fabbp_run(params, state, opts, rng, penalty):
                 params = state.prune_clusters(params)
                 sweep_params = clamped(params)
 
-        state.refresh_moments(sweep_params)
+        if plain:
+            state.h = state.node_belief.sum(axis=0)
+        else:
+            state.refresh_moments(sweep_params)
         last_delta, mean_delta = mean_delta, total_delta / m_edges
         if plain and mean_delta >= last_delta:
             state.damping = PLAIN_DAMPING  # for the rest of the fit
@@ -469,6 +504,8 @@ def fabbp_run(params, state, opts, rng, penalty):
             stop = "tol"
             break
 
+    if plain:
+        state.refresh_moments(sweep_params)
     damped = plain and state.damping > 0.0
     info = {"sweeps": sweeps, "mean_delta": mean_delta, "stop": stop, "damped": damped}
     return state, params, info

@@ -38,6 +38,13 @@ def _canonical_pairs(pairs):
     return arr
 
 
+def _message_degrees(graph):
+    nonself = graph.edges[graph.edges[:, 0] != graph.edges[:, 1]]
+    degrees = np.bincount(nonself.reshape(-1), minlength=graph.n)
+    degrees.setflags(write=False)
+    return degrees
+
+
 class Graph:
     """Immutable sparse undirected graph with an optional held-out pair mask.
 
@@ -59,9 +66,14 @@ class Graph:
         The keys of `masked` as sorted, read-only rows (i, j) with i <= j,
         built once at construction.  Every held-out statistic reads the
         pairs from here through `model.pair_mass`.
+
+    Structures that depend only on the graph are built on first use and
+    kept for its lifetime (see `derived`): the degrees, the message layout
+    of `bp.MessageLayout` and the spectral operator of `spectral_init`.  So
+    the fits of a K sweep on one Graph build them once.
     """
 
-    __slots__ = ("n", "edges", "masked", "masked_index", "node_ids", "_degrees")
+    __slots__ = ("n", "edges", "masked", "masked_index", "node_ids", "_derived")
 
     def __init__(self, n, edges, masked=None, node_ids=None):
         n = int(n)
@@ -94,7 +106,7 @@ class Graph:
         self.masked_index = pairs[np.argsort(keys)]
         self.masked_index.setflags(write=False)
         self.node_ids = list(node_ids) if node_ids is not None else None
-        self._degrees = None
+        self._derived = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -108,13 +120,23 @@ class Graph:
         """Size of the unordered pair universe n*(n+1)/2."""
         return self.n * (self.n + 1) // 2
 
+    def derived(self, build):
+        """build(self), computed on the first call with this build and kept.
+
+        The value must depend on the graph alone and be read-only (arrays
+        with the writeable flag off), since every fit on the graph, in any
+        thread, shares it.  Two threads may both build it; all callers then
+        get the first value stored.
+        """
+        value = self._derived.get(build)
+        if value is None:
+            value = self._derived.setdefault(build, build(self))
+        return value
+
     @property
     def degrees(self):
-        """Message-passing degrees: neighbor counts excluding self-loops."""
-        if self._degrees is None:
-            nonself = self.edges[self.edges[:, 0] != self.edges[:, 1]]
-            self._degrees = np.bincount(nonself.reshape(-1), minlength=self.n)
-        return self._degrees
+        """Message-passing degrees: neighbor counts excluding self-loops (read-only)."""
+        return self.derived(_message_degrees)
 
     def degree_sum(self):
         return int(self.degrees.sum())

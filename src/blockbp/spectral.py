@@ -22,8 +22,15 @@ k-means (Krzakala et al., PNAS 2013; Le, Levina & Vershynin, 2017).  When
 fewer than two columns clear the edge, all columns are clustered.  The
 row-normalized embedding goes to k-means with k-means++ seeding, best of
 KMEANS_RESTARTS restarts; a Lloyd step is one GEMM for the distances
-||c||^2 - 2 x c^T and one for the centroid sums onehot^T x.  Only the labels
-are returned: the fit builds its start beliefs and parameters from them.
+||c||^2 - 2 x c^T and one bincount per column for the centroid sums.  Only
+the labels are returned: the fit builds its start beliefs and parameters
+from them.
+
+The operator and its bulk edge depend on the graph alone, so they are
+built once per Graph (`Graph.derived`) and shared by the fits of a K
+sweep.  The eigen-iteration and k-means run afresh for every call: a
+subspace shared across k would make one k's start depend on which k's
+ran before it on the same graph.
 """
 
 from __future__ import annotations
@@ -102,6 +109,16 @@ def _bulk_edge(op):
     return 2.0 * np.sqrt(op.multiply(op).sum() / op.shape[0])
 
 
+def _operator(graph):
+    """(op, bulk edge) of a graph: the regularized adjacency at tau the mean
+    degree and the top of its bulk.  Read-only and the same for every k, so
+    `spectral_init` takes it from `graph.derived(_operator)`."""
+    op = _normalized_adjacency(graph, float(graph.degree_sum()) / graph.n)
+    for a in (op.data, op.indices, op.indptr):
+        a.setflags(write=False)
+    return op, _bulk_edge(op)
+
+
 def _kmeans_pp_centers(x, k, rng):
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
@@ -113,9 +130,10 @@ def _kmeans_pp_centers(x, k, rng):
         if total <= 0:
             centers[c] = x[int(rng.integers(n))]
             continue
-        probs = d2 / total
-        idx = int(rng.choice(n, p=probs))
-        centers[c] = x[idx]
+        # the draw of rng.choice(n, p=d2 / total), without its validation
+        cdf = np.cumsum(d2 / total)
+        cdf /= cdf[-1]
+        centers[c] = x[int(cdf.searchsorted(rng.random(), side="right"))]
         d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
     return centers
 
@@ -139,7 +157,8 @@ def kmeans(x, k, rng):
                 break
             labels = new_labels
             counts = np.bincount(labels, minlength=k)[:, None]
-            np.divide(np.eye(k)[labels].T @ x, counts, out=centers, where=counts > 0)
+            sums = np.stack([np.bincount(labels, col, minlength=k) for col in x.T], axis=1)
+            np.divide(sums, counts, out=centers, where=counts > 0)
         cost = float(((x - centers[labels]) ** 2).sum(axis=1).sum())
         if cost < best_cost - 1e-12:
             best_cost = cost
@@ -164,11 +183,11 @@ def spectral_init(graph, k, seed):
     if not graph.m:
         return None
     rng = np.random.default_rng(seed)
-    op = _normalized_adjacency(graph, float(graph.degree_sum()) / n)
+    op, bulk_edge = graph.derived(_operator)
     q, residual, theta = orthogonal_iteration(op, n, min(k, n), rng)
     if residual >= EIG_TOL:
         return None
-    above = theta > _bulk_edge(op)
+    above = theta > bulk_edge
     if above.sum() >= 2:
         q = q[:, above]
     embedding = q / np.clip(np.linalg.norm(q, axis=1, keepdims=True), 1e-12, None)

@@ -234,6 +234,16 @@ class TestColourClasses:
                 assert np.array_equal(state.src[cls.ids ^ 1], cls.nodes[cls.owner])
             assert np.all(colour[edges[:, 0]] != colour[edges[:, 1]])
 
+    def test_layout_is_built_once_per_graph_and_read_only(self):
+        # every state on a graph shares one layout, so no fit may write into it
+        g = isolated_selfloop_graph()
+        layout = fresh_state(g, 2).layout
+        assert fresh_state(g, 3).layout is layout is g.derived(bp.MessageLayout)
+        assert fresh_state(Graph(g.n, g.edges), 2).layout is not layout
+        arrays = [layout.src, layout.into, layout.in_count, layout.in_first, layout.self_loops]
+        arrays += [a for cls in layout.classes for a in vars(cls).values()]
+        assert layout.self_loops.size and not any(a.flags.writeable for a in arrays)
+
     def test_colouring_draws_nothing_from_the_rng(self):
         g = isolated_selfloop_graph()
         rng = np.random.default_rng(5)
@@ -448,6 +458,20 @@ class TestFabbpRun:
         state, _, _ = fabbp_run(params, state, opts, np.random.default_rng(7), "fab")
         assert len(drifts) == 10
         assert max(drifts) < 1e-6
+
+    def test_plain_run_ends_with_exact_moment_caches(self):
+        # plain sweeps leave zzbar_cache stale; the run's end makes both
+        # caches exactly what refresh_moments gives on the same state
+        g, _ = generate_sbm(150, [0.5, 0.5], np.array([[0.1, 0.03], [0.03, 0.1]]), seed=5)
+        params = Params(np.array([0.5, 0.5]), np.array([[0.1, 0.03], [0.03, 0.1]]))
+        state = fresh_state(g, 2, seed=6)
+        opts = BPOptions(tol_msg=0.0, max_sweeps=6)
+        state, _, info = fabbp_run(params, state, opts, np.random.default_rng(7), "none")
+        assert info["sweeps"] == 6
+        h, zzbar = state.h.copy(), state.zzbar_cache.copy()
+        state.refresh_moments(params)
+        assert np.array_equal(state.h, h)
+        assert np.array_equal(state.zzbar_cache, zzbar)
 
     def test_rejects_unknown_penalty_mode(self):
         g = path_graph(4)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blockbp import Params, adjusted_rand_index, generate_sbm, mask_pairs, npll
-from blockbp.bp import FitResult, fixed_k_fit
+from blockbp import Graph, Params, adjusted_rand_index, bp, generate_sbm, mask_pairs, npll, spectral
+from blockbp.bp import FitResult, fit_result_to_json, fixed_k_fit
 from blockbp.criteria import CriterionReport
 from blockbp.evaluate import (
     PROTOCOL_HEADER,
@@ -143,6 +143,32 @@ class TestProtocol:
         assert [k for k, _, _ in rows] == [1, 2, 3]
         for _, report, fit in rows:
             assert math.isfinite(report.ffic_lb)
+
+    def test_sweep_builds_layout_and_operator_once(self, monkeypatch):
+        calls = {"_greedy_colouring": 0, "_normalized_adjacency": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(bp, "_greedy_colouring")
+        counting(spectral, "_normalized_adjacency")
+        g, _ = generate_sbm(400, *planted_four_params(400), 1)
+        sweep_criteria(g, range(1, 5), 1)
+        assert calls == {"_greedy_colouring": 1, "_normalized_adjacency": 1}
+
+    def test_sweep_rows_do_not_depend_on_the_ks_before(self):
+        # K=2..4 find the graph's layout and operator built by the K before;
+        # each gives the fit a fresh Graph with the same edges gives
+        g, _ = generate_sbm(400, *planted_four_params(400), 2)
+        for k, _, fit in sweep_criteria(g, range(1, 5), 2):
+            fresh = fixed_k_fit(Graph(g.n, g.edges), k, 2)
+            assert fit_result_to_json(fit) == fit_result_to_json(fresh), k
 
     def test_plain_sweep_counts_on_planted_four(self):
         # the cicl_sweep benchmark's fits: K=1..4 on planted n=400 graphs.

@@ -226,6 +226,7 @@ class TestGraphInvariants:
         want = [sum(v in (i, j) for i, j in edge_set(g) if i != j) for v in range(g.n)]
         assert g.degrees.tolist() == want == [2, 2, 3, 0, 1, 0]
         assert g.degrees.dtype == np.int64
+        assert not g.degrees.flags.writeable
 
     @pytest.mark.parametrize(
         "masked, message",

@@ -153,6 +153,15 @@ class TestSpectralInit:
                 hits += 1
         assert hits > 5
 
+    def test_operator_is_built_once_per_graph_and_read_only(self):
+        g, _ = generate_sbm(120, [0.5, 0.5], np.full((2, 2), 0.08), seed=2)
+        spectral_init(g, 3, 9)
+        op, edge = g.derived(spectral._operator)
+        assert g.derived(spectral._operator)[0] is op
+        assert not any(a.flags.writeable for a in (op.data, op.indices, op.indptr))
+        reference = _normalized_adjacency(g, float(g.degree_sum()) / g.n)
+        assert (op != reference).nnz == 0 and edge == _bulk_edge(reference)
+
     def test_rejects_k_below_one(self):
         with pytest.raises(ValueError):
             spectral_init(two_cliques(), 0, 0)
