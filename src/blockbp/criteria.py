@@ -30,7 +30,6 @@ from .model import (
     joint_log_likelihood,
     label_counts,
     m_step,
-    pair_capacity,
 )
 
 LOG_HALF = math.log(0.5)
@@ -71,11 +70,9 @@ class JointMarginalTerms:
     r2: float
     ell_n: float
     c_const: float
-    s_set: list
     m_star: float
     k_zbar: int
     k_zz: int
-    m_bar: np.ndarray
     clamped: bool = False
     total: float = field(init=False)
 
@@ -168,7 +165,8 @@ def criterion_report(graph, state, params):
     """All criterion values from one shared pass over the beliefs.
 
     ffic_lb and fic take the smoothed penalties (fic scales r1 by K(K+1)/2
-    and drops r2); icl is the hard MAP plug-in likelihood and cicl the
+    and drops r2); icl is the expected log-likelihood at one-hot MAP
+    beliefs, under the MAP assignment's M-step, and cicl the
     entropy-corrected soft one, each minus the dimension penalty.  The
     expected log-likelihood and the entropy read pi inside [EPS_P, 1 - EPS_P]
     (as the sweep does), so a hard 0 or 1 from the M-step cannot meet soft
@@ -263,8 +261,7 @@ def joint_marginal_laplace(graph, labels, k=None):
     params_hat, _ = m_step(moments)
 
     occupied = counts > 0
-    s_set = np.flatnonzero(occupied).tolist()
-    k_zbar = len(s_set)
+    k_zbar = int(occupied.sum())
     zz = moments.zzbar
 
     max_ll = joint_log_likelihood(graph, labels, params_hat)
@@ -272,7 +269,7 @@ def joint_marginal_laplace(graph, labels, k=None):
 
     r2 = 0.0
     k_zz = 0
-    clamped = False
+    curvature_clamped = False
     c_const = (k_zbar - 1) / 2.0 * LOG_2PI + (k - k_zbar) * LOG_HALF
     for a in range(k):
         for b in range(a, k):
@@ -285,24 +282,22 @@ def joint_marginal_laplace(graph, labels, k=None):
                     # fully-connected bicluster: curvature vanishes and the
                     # expansion (like the flat-prior integral) degenerates
                     curvature = EPS_P
-                    clamped = True
+                    curvature_clamped = True
                 r2 += 0.5 * math.log(curvature)
                 c_const += 0.5 * (LOG_2PI if a == b else LOG_2PI - math.log(2.0))
             else:
                 c_const += LOG_HALF  # empty bicluster between occupied clusters
 
     ell_n = (k_zbar - 1) / 2.0 * math.log(n) + k_zz / 2.0 * math.log(n * (n + 1) / 2.0)
-    m_star = n * n * float(np.min(zbar[occupied]) ** 2) if s_set else 0.0
-    m_bar = (n * n / 2.0) * pair_capacity(zbar, n)
+    m_star = n * n * float(np.min(zbar[occupied]) ** 2) if k_zbar else 0.0
     return JointMarginalTerms(
         max_ll=max_ll,
         r1=r1,
         r2=r2,
         ell_n=ell_n,
         c_const=c_const,
-        s_set=s_set,
         m_star=m_star,
         k_zbar=k_zbar,
         k_zz=k_zz,
-        m_bar=m_bar,
+        clamped=curvature_clamped,
     )

@@ -223,6 +223,8 @@ def parse_labels(text):
         node, cluster = _ints(tokens, lineno)
         if node < 0 or cluster < 0:
             raise EdgeListParseError("node ids and cluster indices must be nonnegative", lineno)
+        if node in entries:
+            raise EdgeListParseError(f"second label for node {node}", lineno)
         entries[node] = cluster
     if not entries:
         raise EdgeListParseError("no labels")
@@ -247,7 +249,10 @@ def parse_masked(text):
             raise EdgeListParseError(f"negative node id in pair ({i}, {j})", lineno)
         if bit not in (0, 1):
             raise EdgeListParseError(f"observed bit must be 0 or 1, found {bit}", lineno)
-        masked[(min(i, j), max(i, j))] = bit
+        pair = (min(i, j), max(i, j))
+        if pair in masked:
+            raise EdgeListParseError(f"pair {pair} listed twice", lineno)
+        masked[pair] = bit
     return masked
 
 

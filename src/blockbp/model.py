@@ -4,7 +4,9 @@ Two parameterizations are carried side by side: mean-space (cluster
 proportions gamma, affinity matrix pi) and natural-space (eta, theta) linked
 by softmax/logit maps.  All likelihood accounting runs over the unordered
 pair universe {(i, j) : i <= j} with masked pairs excluded from both edge and
-non-edge contributions.
+non-edge contributions.  One function, `expected_joint_log_likelihood`,
+evaluates E_q[log p(X, Z | theta)] for every criterion: ffic and cicl take it
+at the BP beliefs, icl at the one-hot MAP beliefs (`joint_log_likelihood`).
 """
 
 from __future__ import annotations
@@ -208,18 +210,12 @@ def _safe_log_terms(weights, probs):
 def joint_log_likelihood(graph, labels, params):
     """Joint log-likelihood of a hard assignment under mean-space params.
 
-    Sums Bernoulli terms over unmasked pairs (i <= j) plus multinomial
-    proportion terms; returns -inf instead of raising when a zero-probability
+    The expected joint log-likelihood at one-hot beliefs, where the product
+    form is exact: pair weights are the bicluster pair counts, masked pairs
+    excluded.  Returns -inf instead of raising when a zero-probability
     configuration is observed.
     """
-    k = params.k
-    e, c = bicluster_counts(graph, labels, k)
-    counts = label_counts(labels, k)
-    iu = np.triu_indices(k)
-    edge_part = _safe_log_terms(e[iu], params.pi[iu])
-    non_part = _safe_log_terms((c - e)[iu], 1.0 - params.pi[iu])
-    prop_part = _safe_log_terms(counts, params.gamma)
-    return edge_part + non_part + prop_part
+    return expected_joint_log_likelihood(graph, np.eye(params.k)[labels], params)
 
 
 def expected_joint_log_likelihood(graph, node_beliefs, params, edge_belief_sum=None):
@@ -251,23 +247,6 @@ def expected_joint_log_likelihood(graph, node_beliefs, params, edge_belief_sum=N
     edge_part = _safe_log_terms(np.where(w_edge > tol, w_edge, 0.0), params.pi)
     non_part = _safe_log_terms(np.where(w_non > tol, w_non, 0.0), 1.0 - params.pi)
     prop_part = _safe_log_terms(np.where(s > tol, s, 0.0), params.gamma)
-    return edge_part + non_part + prop_part
-
-
-def expected_ll_from_moments(moments, params):
-    """Moment-closure expected joint log-likelihood (the M-step objective).
-
-    Uses the ordered-bicluster form (n^2/2) * sum_kl [zz * log(pi) +
-    (D - zz) * log(1 - pi)] + n * sum_k zbar * log(gamma) with
-    D = zbar zbar^T + diag(zbar)/n - masked_mass; exact on hard statistics.
-    """
-    n = moments.n
-    d = pair_capacity(moments.zbar, n, moments.masked_mass)
-    scale = n * n / 2.0
-    edge_part = _safe_log_terms(scale * moments.zzbar, params.pi)
-    non = scale * np.clip(d - moments.zzbar, 0.0, None)
-    non_part = _safe_log_terms(non, 1.0 - params.pi)
-    prop_part = _safe_log_terms(n * moments.zbar, params.gamma)
     return edge_part + non_part + prop_part
 
 

@@ -211,6 +211,8 @@ class TestEval:
             ("0 1 1\n3 80 0\n", None, r"masked pair \(3, 80\) outside the fit's nodes 0..79"),
             ("0 1 1\n", "0 0\n1 -1\n", "line 2: node ids and cluster indices"),
             ("0 1 1\n", "0 0\n1 1\n", "labels file covers nodes 0..1"),
+            ("0 1 1\n1 0 0\n", None, r"line 2: pair \(0, 1\) listed twice"),
+            ("0 1 1\n", "0 0\n1 1\n1 0\n", "line 3: second label for node 1"),
         ],
     )
     def test_bad_input_exits_one(self, generated, tmp_path, capsys, masked, labels, message):

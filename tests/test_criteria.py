@@ -28,7 +28,7 @@ from blockbp import (
     r2_tilde,
 )
 from blockbp.criteria import LOG_2PI, LOG_HALF
-from blockbp.model import Moments, hard_moments
+from blockbp.model import EPS_P, Moments, hard_moments
 from blockbp.evaluate import planted_four_params
 from oracles import (
     Enumeration,
@@ -535,6 +535,20 @@ class TestJointMarginalLaplace:
         assert terms.ell_n == pytest.approx(0.5 * math.log(10), abs=1e-12)
         assert terms.r1 == pytest.approx(0.0, abs=1e-15)
         assert terms.m_star == pytest.approx(16.0)
+        assert not terms.clamped
+
+    def test_fully_connected_bicluster_flags_clamp(self):
+        # nodes 0-2 hold every pair and self-loop, so pi_00 = 1 and the
+        # (0, 0) curvature vanishes; the path 3-4-5-6 keeps pi_11 = 0.3
+        g = parse_edge_list("0 0\n1 1\n2 2\n0 1\n0 2\n1 2\n3 4\n4 5\n5 6\n")
+        terms = joint_marginal_laplace(g, np.array([0, 0, 0, 1, 1, 1, 1]))
+        assert terms.clamped
+        assert terms.k_zz == 2
+        assert math.isfinite(terms.max_ll)
+        path_curvature = (2 * 3 / 49) * (1 - 0.3)
+        assert terms.r2 == pytest.approx(
+            0.5 * math.log(EPS_P) + 0.5 * math.log(path_curvature), abs=1e-12
+        )
 
     def test_empty_cluster_routes_to_constant(self):
         g = parse_edge_list("0 1\n1 2\n2 3")

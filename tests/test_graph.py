@@ -270,12 +270,17 @@ class TestSerializationFormats:
         with pytest.raises(EdgeListParseError, match="line 1: expected integers"):
             parse_labels("0 a\n")
 
+    def test_labels_reject_repeated_node(self):
+        with pytest.raises(EdgeListParseError, match="line 3: second label for node 1"):
+            parse_labels("0 0\n1 1\n1 0\n")
+
     @pytest.mark.parametrize(
         "text, message",
         [
             ("0 1 1\n-1 3 1\n", r"line 2: negative node id in pair \(-1, 3\)"),
             ("0 1 2\n", "line 1: observed bit must be 0 or 1, found 2"),
             ("0 1 x\n", "line 1: expected integers"),
+            ("0 1 1\n1 0 0\n", r"line 2: pair \(0, 1\) listed twice"),
         ],
     )
     def test_masked_rejects_bad_lines(self, text, message):

@@ -19,7 +19,6 @@ from blockbp import (
 from blockbp.model import (
     EmptyClusterError,
     bicluster_counts,
-    expected_ll_from_moments,
     hard_moments,
 )
 from oracles import (
@@ -199,7 +198,6 @@ class TestMStep:
             zzbar = (zzbar + zzbar.T) / 2
             moments = Moments(zbar, zzbar, n)
             params, _ = m_step(moments)
-            best = expected_ll_from_moments(moments, params)
 
             grid = np.arange(1, 1000) / 1000.0
             # pi coordinates decouple: check per-entry grid maxima
@@ -228,7 +226,6 @@ class TestMStep:
                 )
                 gap = lls.max() - n * float(zbar @ np.log(params.gamma))
                 assert gap <= 1e-6
-            assert math.isfinite(best)
 
     def test_mask_adjusted_density(self):
         g, _ = generate_sbm(40, [1.0], np.array([[0.3]]), seed=5)
