@@ -5,16 +5,18 @@ even row and j->i at the odd row after it, so the reverse of message e is
 e ^ 1, and sweeps over the colour classes of a greedy proper colouring of
 its graph.  That layout depends on the graph alone: `MessageLayout` builds
 it once per Graph, and every BeliefState on the graph shares it read-only.
-A sweep visits the colour classes in an order the sweep RNG shuffles
-afresh each sweep.  Nodes of one class share no edge, so every message a
-class reads comes from other classes, and the whole class gathers its
-in-messages, updates its beliefs and writes its out-messages in a few
-array operations.  Penalized sweeps keep both incremental moment caches
-live (one rank update per class, restored exactly at every sweep
-boundary); plain sweeps keep only h live, since nothing in them reads
-zzbar, and recompute both caches when the run ends.  Unconnected-node
-factors are folded into a shared external field, keeping a sweep at
-O(m K^2).  The moment caches and the criteria read the pairwise edge
+It records which messages come into which node as one scipy CSR matrix
+(nodes x messages), and each colour class keeps its rows of it.  A sweep
+visits the colour classes in an order the sweep RNG shuffles afresh each
+sweep.  Nodes of one class share no edge, so every message a class reads
+comes from other classes, and the whole class gathers its in-messages,
+sums them per node in one sparse product, updates its beliefs and writes
+its out-messages in a few array operations.  Penalized sweeps keep both
+incremental moment caches live (one rank update per class, restored
+exactly at every sweep boundary); plain sweeps keep only h live, since
+nothing in them reads zzbar, and recompute both caches when the run ends.
+Unconnected-node factors are folded into a shared external field, keeping
+a sweep at O(m K^2).  The moment caches and the criteria read the pairwise edge
 beliefs only through one (m, K) contraction, `BeliefState.edge_contraction`;
 the (m, K, K) beliefs of `BeliefState.edge_beliefs` are kept as the tests'
 reference.
@@ -58,6 +60,7 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import criteria
 from .graph import RNG_ALGORITHM
@@ -143,16 +146,15 @@ def _normalize_rows(w, edge_of):
     return w
 
 
-def _greedy_colouring(src, into, degree):
+def _greedy_colouring(ptr, neighbours):
     """Proper colouring of the message graph: each node, largest degree first,
-    takes the smallest colour no coloured neighbour holds.  into lists the
-    message ids grouped by receiving node (the degree[v] messages into v,
-    node by node), so the senders src[into] are every node's neighbours;
-    with the argsort of the n degrees it is O(m + n log n)."""
-    neighbours = src[into].tolist()
-    ptr = np.concatenate([[0], np.cumsum(degree)]).tolist()
-    colour = [-1] * degree.size
-    for v in np.argsort(-degree, kind="stable").tolist():
+    takes the smallest colour no coloured neighbour holds.  Node v's
+    neighbours are neighbours[ptr[v]:ptr[v + 1]] (a CSR row); with the
+    argsort of the n degrees it is O(m + n log n)."""
+    order = np.argsort(-np.diff(ptr), kind="stable").tolist()
+    ptr, neighbours = ptr.tolist(), neighbours.tolist()
+    colour = [-1] * (len(ptr) - 1)
+    for v in order:
         used = {colour[u] for u in neighbours[ptr[v] : ptr[v + 1]]}
         c = 0
         while c in used:
@@ -165,27 +167,22 @@ def _greedy_colouring(src, into, degree):
 class InLists:
     """The in-messages of a set of nodes, grouped by node.
 
-    ids[starts[r]:starts[r] + count] are the messages into nodes[r]; owner
-    maps each id to its row r; src holds each id's sender, and id ^ 1 is the
-    out-message that answers it; filled lists the rows with at least one
-    message, so empty segments never reach np.add.reduceat.
+    ids lists the messages into nodes[0], then those into nodes[1], and so
+    on; incidence is the CSR matrix (nodes x ids) with a one where message
+    ids[c] comes into nodes[r], so a node without in-messages is an empty
+    row.  owner maps each id to its row r; src holds each id's sender, and
+    id ^ 1 is the out-message that answers it.
     """
 
     nodes: np.ndarray
     ids: np.ndarray
     owner: np.ndarray
-    starts: np.ndarray
-    filled: np.ndarray
     src: np.ndarray
+    incidence: sp.csr_matrix
 
     def segment_sum(self, values):
         """Per-node sums of values (one row per id); zero rows for nodes without messages."""
-        if self.filled.size == self.nodes.size:
-            return np.add.reduceat(values, self.starts, axis=0)
-        out = np.zeros((self.nodes.size, values.shape[1]))
-        if self.ids.size:
-            out[self.filled] = np.add.reduceat(values, self.starts[self.filled], axis=0)
-        return out
+        return self.incidence @ values
 
 
 class MessageLayout:
@@ -195,38 +192,41 @@ class MessageLayout:
 
     Messages exist for both orientations of every non-self-loop training
     edge, the r-th such edge row (i, j) carrying i->j at row 2r and j->i at
-    row 2r + 1; `src` holds each message's sender, and `into` the message
-    ids grouped by receiving node: node v's in-messages are
-    into[in_first[v]:in_first[v] + in_count[v]], one per non-self-loop edge
-    at v.  `self_loops` holds the self-loop edge rows, which contribute to
-    statistics but carry no message.  `classes` holds the InLists of the
-    colour classes of a greedy proper colouring (largest degree first).
-    Every array is read-only: fits share the layout.
+    row 2r + 1; `src` holds each message's sender.  `into` is the CSR
+    incidence matrix (nodes x message ids) with a one where a message comes
+    into a node: row v lists v's in-messages, one per non-self-loop edge at
+    v, in message order.  `self_loops` holds the self-loop edge rows, which
+    contribute to statistics but carry no message.  `classes` holds the
+    InLists of the colour classes of a greedy proper colouring (largest
+    degree first).  Every array is read-only: fits share the layout.
     """
 
     def __init__(self, graph):
         pairs = graph.edges[graph.edges[:, 0] != graph.edges[:, 1]]
         self.src = pairs.reshape(-1)
-        self.into = np.argsort(pairs[:, ::-1].reshape(-1), kind="stable")
-        self.in_count = graph.degrees
-        self.in_first = np.cumsum(self.in_count) - self.in_count
+        dst = pairs[:, ::-1].reshape(-1)
+        self.into = sp.csr_matrix(
+            (np.ones(dst.size), (dst, np.arange(dst.size))), shape=(graph.n, dst.size)
+        )
         self.self_loops = graph.edges[graph.edges[:, 0] == graph.edges[:, 1]]
-        for a in (self.src, self.into, self.in_first, self.self_loops):
+        for a in (self.src, self.self_loops, self.into.data, self.into.indices, self.into.indptr):
             a.setflags(write=False)
-        colour = _greedy_colouring(self.src, self.into, self.in_count)
+        colour = _greedy_colouring(self.into.indptr, self.src[self.into.indices])
         by_colour = np.argsort(colour, kind="stable")
         bounds = np.cumsum(np.bincount(colour))[:-1]
         self.classes = tuple(self.in_lists(nodes) for nodes in np.split(by_colour, bounds))
 
     def in_lists(self, nodes):
-        """Read-only InLists of the given node-index array."""
+        """Read-only InLists of the given node-index array: its rows of `into`."""
         nodes = np.array(nodes, dtype=np.int64)
-        counts = self.in_count[nodes]
-        starts = np.cumsum(counts) - counts
-        owner = np.repeat(np.arange(nodes.size), counts)
-        ids = self.into[self.in_first[nodes][owner] + np.arange(owner.size) - starts[owner]]
-        lists = InLists(nodes, ids, owner, starts, np.flatnonzero(counts), self.src[ids])
-        for a in vars(lists).values():
+        rows = self.into[nodes]
+        ids = rows.indices
+        owner = np.repeat(np.arange(nodes.size), np.diff(rows.indptr))
+        incidence = sp.csr_matrix(
+            (rows.data, np.arange(ids.size), rows.indptr), shape=(nodes.size, ids.size)
+        )
+        lists = InLists(nodes, ids, owner, self.src[ids], incidence)
+        for a in (nodes, ids, owner, lists.src, incidence.data, incidence.indices, incidence.indptr):
             a.setflags(write=False)
         return lists
 
@@ -238,22 +238,20 @@ class BeliefState:
     message i->j starts as b_i, and the moment caches are computed exactly
     at the affinities of `params`; K is the matrix's column count.  Owned
     by exactly one fit run; the underlying Graph and its `MessageLayout`
-    (`layout`, whose `src`, `classes` and `self_loops` the state names
-    too) are shared read-only.  A penalized sweep keeps both caches live;
-    a plain sweep keeps h live and leaves zzbar_cache stale until its run
-    ends (see `fabbp_run`).  `damping` is the share of the old message a
+    (`layout`) are shared read-only.  A penalized sweep keeps both caches
+    live; a plain sweep keeps h live and leaves zzbar_cache stale until its
+    run ends (see `fabbp_run`).  `damping` is the share of the old message a
     plain update keeps: 0 until `fabbp_run` turns it on.
     """
 
     def __init__(self, graph, beliefs, params):
         self.graph = graph
         self.n = graph.n
-        self.layout = layout = graph.derived(MessageLayout)
-        self.src, self.classes, self.self_loops = layout.src, layout.classes, layout.self_loops
-        self.m_directed = self.src.size
+        self.layout = graph.derived(MessageLayout)
+        self.m_directed = self.layout.src.size
 
         self.node_belief = np.array(beliefs, dtype=np.float64)
-        self.messages = self.node_belief[self.src]
+        self.messages = self.node_belief[self.layout.src]
         self.damping = 0.0
         self.refresh_moments(params)
 
@@ -321,7 +319,7 @@ class BeliefState:
         n = self.n
         self.h = self.node_belief.sum(axis=0)
         _, s = self.edge_contraction(params)
-        self.zzbar_cache = (s + s.T) / n**2 + pair_mass(self.self_loops, self.node_belief, n)
+        self.zzbar_cache = (s + s.T) / n**2 + pair_mass(self.layout.self_loops, self.node_belief, n)
 
     def moments(self):
         """Fresh mask-aware Moments from the current beliefs and caches."""
@@ -433,7 +431,7 @@ def _update_class(state, cls, params, penalty):
     weights = np.exp(base - np.ascontiguousarray(base.T).max(axis=0)[:, None])
     new_msgs = _normalize_rows(
         weights.take(cls.owner, axis=0) / in_vals,
-        lambda r: (int(state.src[out[r]]), int(cls.src[r])),
+        lambda r: (int(state.layout.src[out[r]]), int(cls.src[r])),
     )
     new_belief = _normalize_rows(weights, lambda r: (int(cls.nodes[r]),) * 2)
     old_msgs = state.messages.take(out, axis=0)
@@ -453,9 +451,9 @@ def _update_class(state, cls, params, penalty):
 def fabbp_run(params, state, opts, rng, penalty):
     """Run penalized (or plain) BP sweeps until the messages settle.
 
-    Each sweep visits the colour classes of state.classes in an order drawn
-    afresh from rng, updating all beliefs and outgoing messages of a class
-    at once (nodes of a class share no edge, so the class update equals the
+    Each sweep visits the colour classes of state.layout.classes in an
+    order drawn afresh from rng, updating all beliefs and outgoing messages
+    of a class at once (nodes of a class share no edge, so the class update equals the
     node-by-node one).  Penalized sweeps keep both moment caches live: one
     rank update per class, and an exact recomputation at every sweep
     boundary.  A plain sweep reads only h (through the external field), so
@@ -487,8 +485,9 @@ def fabbp_run(params, state, opts, rng, penalty):
     for _ in range(opts.max_sweeps):
         sweeps += 1
         total_delta = 0.0
-        for c in rng.permutation(len(state.classes)):
-            total_delta += _update_class(state, state.classes[c], sweep_params, penalty)
+        classes = state.layout.classes
+        for c in rng.permutation(len(classes)):
+            total_delta += _update_class(state, classes[c], sweep_params, penalty)
             if not plain and state.k_active > 1 and state.h.min() < PRUNE_SCALE:
                 params = state.prune_clusters(params)
                 sweep_params = clamped(params)
@@ -695,32 +694,61 @@ def fit_result_to_json(result):
     return json.dumps(payload)
 
 
+def _loaded_array(obj, name, shape, dtype=np.float64):
+    """Field `name` of fit.json as an array of the given shape."""
+    try:
+        value = np.array(obj[name], dtype=dtype)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value.shape != shape:
+        raise ValueError(f"fit.json: {name} must be an array of shape {shape}")
+    return value
+
+
 def fit_result_from_json(text):
     """FitResult from fit.json text.
 
     Files written before the stop reason was recorded carry a "converged"
     flag instead; a converged fit loads with stop "tol", any other with
-    None.
+    None.  A field of the wrong type or shape for the file's selected_k and
+    n, a MAP label outside 0..selected_k - 1, node ids that are not n
+    strings, or criteria with missing or unknown keys raise ValueError
+    naming the field.
     """
     obj = json.loads(text)
-    k = int(obj["selected_k"])
-    params = Params(
-        np.array(obj["gamma"], dtype=np.float64),
-        np.array(obj["pi"], dtype=np.float64).reshape(k, k),
-    )
-    report = criteria.CriterionReport(**obj["criteria"])
+    if not isinstance(obj, dict):
+        raise ValueError("fit.json must hold a JSON object")
+    for name in ("selected_k", "n", "seed"):
+        if not isinstance(obj[name], int):
+            raise ValueError(f"fit.json: {name} must be an integer, got {obj[name]!r}")
+    k, n = obj["selected_k"], obj["n"]
+    gamma, pi = _loaded_array(obj, "gamma", (k,)), _loaded_array(obj, "pi", (k * k,))
+    labels = _loaded_array(obj, "map_assignment", (n,), np.int64)
+    if not np.all((labels >= 0) & (labels < k)):
+        raise ValueError(f"fit.json: map_assignment entries must lie in 0..{k - 1}")
+    node_ids = obj.get("node_ids")
+    if node_ids is not None and not (
+        isinstance(node_ids, list)
+        and len(node_ids) == n
+        and all(isinstance(t, str) for t in node_ids)
+    ):
+        raise ValueError(f"fit.json: node_ids must be null or a list of {n} strings")
+    try:
+        report = criteria.CriterionReport(**obj["criteria"])
+    except TypeError as exc:
+        raise ValueError(f"fit.json: criteria: {exc}") from exc
     return FitResult(
         selected_k=k,
-        params=params,
-        node_marginals=np.array(obj["node_marginals"], dtype=np.float64),
-        map_assignment=np.array(obj["map_assignment"], dtype=np.int64),
+        params=Params(gamma, pi.reshape(k, k)),
+        node_marginals=_loaded_array(obj, "node_marginals", (n, k)),
+        map_assignment=labels,
         stop=obj.get("stop", "tol" if obj.get("converged") else None),
         trace=obj["trace"],
         criteria=report,
-        n=int(obj["n"]),
-        seed=int(obj["seed"]),
+        n=n,
+        seed=obj["seed"],
         method=obj["method"],
         rng_algorithm=obj.get("rng_algorithm", RNG_ALGORITHM),
         warnings=obj.get("warnings", []),
-        node_ids=obj.get("node_ids"),
+        node_ids=node_ids,
     )

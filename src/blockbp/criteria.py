@@ -176,7 +176,7 @@ def criterion_report(graph, state, params):
     z, s = state.edge_contraction(params)
     b = state.node_belief
     # self-loop rows hold the diagonal belief diag(b_i)
-    edge_sum = s + np.diag(b[state.self_loops[:, 0]].sum(axis=0))
+    edge_sum = s + np.diag(b[state.layout.self_loops[:, 0]].sum(axis=0))
     expected_ll = expected_joint_log_likelihood(graph, b, params, edge_sum)
     entropy = _bethe_entropy(graph, state, params.pi, z)
     n, k = graph.n, state.k_active

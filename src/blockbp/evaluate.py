@@ -32,8 +32,6 @@ def npll(fit, masked_observations):
     if not masked_observations:
         raise ValueError("masked set is empty")
     b = fit.node_marginals
-    if b is None:
-        raise ValueError("fit carries no node marginals")
     pi = fit.params.pi
     n = fit.n
     i, j = np.array(list(masked_observations), dtype=np.int64).reshape(-1, 2).T

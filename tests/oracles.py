@@ -230,7 +230,7 @@ def per_node_sweep(state, params, order, damping, include_field=False, live_prio
     """
     msgs = state.messages.copy()
     beliefs = state.node_belief.copy()
-    senders = state.src.tolist()
+    senders = state.layout.src.tolist()
     lookup = {(senders[e], senders[e ^ 1]): e for e in range(state.m_directed)}
     neighbours = {v: [] for v in range(state.n)}
     for i, j in lookup:
@@ -245,7 +245,7 @@ def per_node_sweep(state, params, order, damping, include_field=False, live_prio
         base = np.log(h / state.n) if live_prior else np.log(params.gamma)
         if include_field:
             base = base - params.pi @ h
-        for i in state.classes[c].nodes.tolist():
+        for i in state.layout.classes[c].nodes.tolist():
             log_in = {j: np.log(msgs[lookup[(j, i)]] @ params.pi) for j in neighbours[i]}
             total = base.copy()
             for value in log_in.values():

@@ -56,9 +56,18 @@ def isolated_selfloop_graph():
 
 def every_node_linked_graph():
     """n=8: a cycle with three chords and a self-loop on 3; every node has an
-    edge to another node, so every colour class's in-lists are all filled."""
+    edge to another node, so every node of every colour class has in-messages."""
     edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (1, 5), (2, 6), (3, 3)]
     return Graph(8, edges)
+
+
+def csr_arrays(matrix):
+    return matrix.data, matrix.indices, matrix.indptr
+
+
+def empty_rows(cls):
+    """Whether some node of the colour class has no in-message."""
+    return bool((np.diff(cls.incidence.indptr) == 0).any())
 
 
 def one_sweep(params, state, penalty):
@@ -154,7 +163,8 @@ class TestMessageUpdates:
         for end in (0, 2):
             # message e runs from src[e] to src[e ^ 1]
             ids = np.arange(state.m_directed)
-            leaf_to_centre = np.flatnonzero((state.src == end) & (state.src[ids ^ 1] == 1))[0]
+            src = state.layout.src
+            leaf_to_centre = np.flatnonzero((src == end) & (src[ids ^ 1] == 1))[0]
             h = h_at_class_start[end]
             expected = (h / g.n) * np.exp(-params.pi @ h)
             assert state.messages[leaf_to_centre] == pytest.approx(
@@ -218,20 +228,20 @@ class TestColourClasses:
 
     def test_colouring_is_proper_and_partitions_nodes(self):
         for g in self.graphs():
-            state = fresh_state(g, 2)
-            nodes = np.concatenate([cls.nodes for cls in state.classes])
+            layout = fresh_state(g, 2).layout
+            nodes = np.concatenate([cls.nodes for cls in layout.classes])
             assert np.array_equal(np.sort(nodes), np.arange(g.n))
             colour = np.empty(g.n, dtype=np.int64)
             edges = g.edges[g.edges[:, 0] != g.edges[:, 1]]
             # edge row r's messages i->j and j->i sit at rows 2r and 2r + 1
-            assert np.array_equal(state.src[0::2], edges[:, 0])
-            assert np.array_equal(state.src[1::2], edges[:, 1])
-            for c, cls in enumerate(state.classes):
+            assert np.array_equal(layout.src[0::2], edges[:, 0])
+            assert np.array_equal(layout.src[1::2], edges[:, 1])
+            for c, cls in enumerate(layout.classes):
                 colour[cls.nodes] = c
                 # in-lists grouped by node: each id's reverse ids ^ 1 is
                 # sent by its owner, so each id points into its owner
-                assert np.array_equal(cls.src, state.src[cls.ids])
-                assert np.array_equal(state.src[cls.ids ^ 1], cls.nodes[cls.owner])
+                assert np.array_equal(cls.src, layout.src[cls.ids])
+                assert np.array_equal(layout.src[cls.ids ^ 1], cls.nodes[cls.owner])
             assert np.all(colour[edges[:, 0]] != colour[edges[:, 1]])
 
     def test_layout_is_built_once_per_graph_and_read_only(self):
@@ -240,8 +250,9 @@ class TestColourClasses:
         layout = fresh_state(g, 2).layout
         assert fresh_state(g, 3).layout is layout is g.derived(bp.MessageLayout)
         assert fresh_state(Graph(g.n, g.edges), 2).layout is not layout
-        arrays = [layout.src, layout.into, layout.in_count, layout.in_first, layout.self_loops]
-        arrays += [a for cls in layout.classes for a in vars(cls).values()]
+        arrays = [layout.src, layout.self_loops, *csr_arrays(layout.into)]
+        for cls in layout.classes:
+            arrays += [cls.nodes, cls.ids, cls.owner, cls.src, *csr_arrays(cls.incidence)]
         assert layout.self_loops.size and not any(a.flags.writeable for a in arrays)
 
     def test_colouring_draws_nothing_from_the_rng(self):
@@ -268,7 +279,7 @@ class TestColourClasses:
         for state_damping in (0.0, bp.PLAIN_DAMPING):
             state = fresh_state(g, 3, seed=4)
             state.damping = state_damping
-            order = np.random.default_rng(7).permutation(len(state.classes))
+            order = np.random.default_rng(7).permutation(len(state.layout.classes))
             damping = 0.0 if penalized else state_damping
             msgs, beliefs = per_node_sweep(state, params, order, damping, include_field, penalized)
             fabbp_run(params, state, opts, np.random.default_rng(7), "fab" if penalized else "none")
@@ -278,9 +289,10 @@ class TestColourClasses:
     @pytest.mark.parametrize("include_field", [False, True])
     @pytest.mark.parametrize("penalized", [False, True])
     def test_class_sweep_matches_per_node_reference(self, include_field, penalized, monkeypatch):
-        # isolated nodes: some class sums its in-messages around empty segments
+        # isolated nodes: some class holds a node without in-messages (an
+        # empty incidence row), whose in-message sum is zero
         g = isolated_selfloop_graph()
-        assert not all(cls.filled.size == cls.nodes.size for cls in fresh_state(g, 3).classes)
+        assert any(empty_rows(cls) for cls in fresh_state(g, 3).layout.classes)
         self.check_class_sweep(g, include_field, penalized, monkeypatch)
 
     @pytest.mark.parametrize("include_field", [False, True])
@@ -288,9 +300,9 @@ class TestColourClasses:
     def test_all_linked_class_sweep_matches_per_node_reference(
         self, include_field, penalized, monkeypatch
     ):
-        # every node linked: each class sums its in-messages in one reduceat
+        # every node linked: no class holds an empty incidence row
         g = every_node_linked_graph()
-        assert all(cls.filled.size == cls.nodes.size for cls in fresh_state(g, 3).classes)
+        assert not any(empty_rows(cls) for cls in fresh_state(g, 3).layout.classes)
         self.check_class_sweep(g, include_field, penalized, monkeypatch)
 
 
@@ -498,7 +510,7 @@ class TestFabbpRun:
             params = Params(np.array([0.5, 0.5]), np.array(pi))
             opts = BPOptions(tol_msg=0.0, max_sweeps=20)
             state, params, info = fabbp_run(params, state, opts, np.random.default_rng(2), penalty)
-            size, m_edges = len(state.classes), state.m_directed // 2
+            size, m_edges = len(state.layout.classes), state.m_directed // 2
             sweeps = [calls[i : i + size] for i in range(0, len(calls), size)]
             change = [sum(delta for _, delta in sweep) / m_edges for sweep in sweeps]
             seen = [{damping for damping, _ in sweep} for sweep in sweeps]

@@ -234,6 +234,49 @@ class TestEval:
         assert re.search(message, err), err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "field, edit, message",
+        [
+            pytest.param("node_marginals", lambda v: v[:10],
+                         r"node_marginals must be an array of shape \(80, \d+\)",
+                         id="marginals-10-rows"),
+            pytest.param("node_marginals", lambda v: None,
+                         "node_marginals must be an array of shape", id="marginals-null"),
+            pytest.param("map_assignment", lambda v: v[:2],
+                         r"map_assignment must be an array of shape \(80,\)", id="map-2-rows"),
+            pytest.param("map_assignment", lambda v: [-1] + v[1:],
+                         r"map_assignment entries must lie in 0\.\.", id="map-negative"),
+            pytest.param("gamma", lambda v: v + [0.0], "gamma must be an array of shape",
+                         id="gamma-long"),
+            pytest.param("pi", lambda v: v[:1], "pi must be an array of shape", id="pi-short"),
+            pytest.param("n", lambda v: None, "n must be an integer, got None", id="n-null"),
+            pytest.param("node_ids", lambda v: 5, "node_ids must be null or a list of 80 strings",
+                         id="node-ids-int"),
+            pytest.param("node_ids", lambda v: [None] * len(v), "node_ids must be null or a list",
+                         id="node-ids-nulls"),
+            pytest.param("criteria", lambda v: {}, "criteria: .*missing 8 required",
+                         id="criteria-empty"),
+            pytest.param("criteria", lambda v: None, "criteria: .*must be a mapping",
+                         id="criteria-null"),
+        ],
+    )
+    def test_malformed_fit_exits_one(self, generated, tmp_path, capsys, field, edit, message):
+        # a fit.json edited or cut by hand loads with an error line, not a traceback
+        fit_path = tmp_path / "fit.json"
+        run(["fit", "--input", str(generated), "--k-max", "4", "--seed", "0",
+             "--method", "f2ab", "--output", str(fit_path), "--mask-fraction", "0.05"])
+        payload = json.loads(fit_path.read_text())
+        payload[field] = edit(payload[field])
+        fit_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        argv = ["eval", "--fit", str(fit_path), "--masked", str(fit_path) + ".masked",
+                "--labels", str(generated) + ".labels", "--output", str(tmp_path / "report.json")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fit.json: ")
+        assert re.search(message, err), err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -267,12 +310,32 @@ class TestAtomicWrite:
 
 
 class TestStartup:
-    def test_commands_do_not_load_scipy_special(self):
-        # no fit reads scipy.special, so no command pays for importing it
+    def test_commands_do_not_load_scipy_special(self, tmp_path):
+        # no fit reads scipy.special, and none needs scipy.sparse.linalg,
+        # whose import costs resident memory; a masked f2ab fit and a cicl
+        # sweep run in the subprocess before the modules are checked
         import blockbp
 
         src = os.path.dirname(os.path.dirname(blockbp.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, blockbp.cli, numpy, scipy.sparse; sys.exit('scipy.special' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path))
-        assert done.returncode == 0
+        code = "\n".join([
+            "import os, sys",
+            "from blockbp import cli",
+            "os.chdir(sys.argv[1])",
+            "for argv in (",
+            "    'generate --n 60 --k 2 --pin 0.3 --pout 0.03 --seed 1 --output g.txt',",
+            "    'fit --input g.txt --k-max 4 --seed 1 --mask-fraction 0.05 --output fit.json',",
+            "    'sweep --input g.txt --method cicl --sweep 1:3 --seed 1 --output table.csv',",
+            "):",
+            "    if cli.main(argv.split()):",
+            "        sys.exit(f'failed: {argv}')",
+            "loaded = [m for m in ('scipy.special', 'scipy.sparse.linalg') if m in sys.modules]",
+            "sys.exit(', '.join(loaded) or None)",
+        ])
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
