@@ -11,15 +11,13 @@ visits the colour classes in an order the sweep RNG shuffles afresh each
 sweep.  Nodes of one class share no edge, so every message a class reads
 comes from other classes, and the whole class gathers its in-messages,
 sums them per node in one sparse product, updates its beliefs and writes
-its out-messages in a few array operations.  Penalized sweeps keep both
-incremental moment caches live (one rank update per class, restored
-exactly at every sweep boundary); plain sweeps keep only h live, since
-nothing in them reads zzbar, and recompute both caches when the run ends.
-Unconnected-node factors are folded into a shared external field, keeping
-a sweep at O(m K^2).  The moment caches and the criteria read the pairwise edge
-beliefs only through one (m, K) contraction, `BeliefState.edge_contraction`;
-the (m, K, K) beliefs of `BeliefState.edge_beliefs` are kept as the tests'
-reference.
+its out-messages in a few array operations.  A class update keeps h live
+and leaves zzbar_cache as the sweep started (the cache rule is stated once,
+in `fabbp_run`).  Unconnected-node factors are folded into a shared
+external field, keeping a sweep at O(m K^2).  The moment caches and the
+criteria read the pairwise edge beliefs only through one (m, K)
+contraction, `BeliefState.edge_contraction`; the (m, K, K) beliefs of
+`BeliefState.edge_beliefs` are kept as the tests' reference.
 
 The fit method picks the penalty mode of its sweeps, and the mode sets
 everything about a sweep that is not a stopping value:
@@ -238,10 +236,9 @@ class BeliefState:
     message i->j starts as b_i, and the moment caches are computed exactly
     at the affinities of `params`; K is the matrix's column count.  Owned
     by exactly one fit run; the underlying Graph and its `MessageLayout`
-    (`layout`) are shared read-only.  A penalized sweep keeps both caches
-    live; a plain sweep keeps h live and leaves zzbar_cache stale until its
-    run ends (see `fabbp_run`).  `damping` is the share of the old message a
-    plain update keeps: 0 until `fabbp_run` turns it on.
+    (`layout`) are shared read-only.  `fabbp_run` states when the caches
+    are live and when they are exact.  `damping` is the share of the old
+    message a plain update keeps: 0 until `fabbp_run` turns it on.
     """
 
     def __init__(self, graph, beliefs, params):
@@ -302,24 +299,27 @@ class BeliefState:
         return self.messages[0::2].copy(), self.messages[1::2].copy()
 
     def edge_contraction(self, params):
-        """Per-edge normalisers and summed pairwise belief of the message edges.
+        """Per-edge normalisers and the summed pairwise belief of all edge rows.
 
         For edge row e with forward message f_e and reverse message r_e (see
         `edge_messages`) the pairwise belief is b_e = f_e r_e^T * pi / z_e
-        with z_e = f_e^T pi r_e.  Returns (z, s): z holds z_e per
-        message-carrying edge row, clipped below at 1e-300, and s = sum_e b_e
-        = pi * ((F / z)^T R), one GEMM, without the (m, K, K) beliefs.
+        with z_e = f_e^T pi r_e; a self-loop row (i, i) holds diag(b_i), as
+        in `edge_beliefs`.  Returns (z, s): z holds z_e per message-carrying
+        edge row, clipped below at 1e-300, and s is the sum of the beliefs
+        over every graph.edges row: pi * ((F / z)^T R), one GEMM, without
+        the (m, K, K) beliefs, plus the self-loop diagonal.
         """
         mu_f, mu_r = self.edge_messages()
         z = np.clip(((mu_f @ params.pi) * mu_r).sum(axis=1), 1e-300, None)
-        return z, params.pi * ((mu_f / z[:, None]).T @ mu_r)
+        s = params.pi * ((mu_f / z[:, None]).T @ mu_r)
+        s.flat[:: s.shape[0] + 1] += self.node_belief[self.layout.self_loops[:, 0]].sum(axis=0)
+        return z, s
 
     def refresh_moments(self, params):
         """Exact recomputation of both moment caches from current beliefs."""
-        n = self.n
         self.h = self.node_belief.sum(axis=0)
         _, s = self.edge_contraction(params)
-        self.zzbar_cache = (s + s.T) / n**2 + pair_mass(self.layout.self_loops, self.node_belief, n)
+        self.zzbar_cache = (s + s.T) / self.n**2
 
     def moments(self):
         """Fresh mask-aware Moments from the current beliefs and caches."""
@@ -365,17 +365,16 @@ def compute_penalty(state, node, mode="fab", lists=None):
 
     `node` may be a node-index array: the penalty then holds one row per
     node.  It is built from the cluster and bicluster pseudo-counts t and T
-    excluding the node itself, formed from the live expected proportions
-    (which the closed-form estimators equal at every update of the
-    alternation); both are clamped below at 1 so the penalty stays finite
-    and nonnegative in degenerate states.  Mode "fic" keeps only the
-    cluster-size term, scaled by K(K+1)/2.  `lists`, when given, is the
-    InLists of the node array.
+    excluding the node itself, formed from the moment caches (which the
+    closed-form estimators equal at every update of the alternation); both
+    are clamped below at 1 so the penalty stays finite and nonnegative in
+    degenerate states.  Mode "fic" keeps only the cluster-size term, scaled
+    by K(K+1)/2.  `lists`, when given, is the InLists of the node array.
     """
-    # cluster and bicluster masses enter through the live caches (h = n *
-    # E[zbar], n^2 * E[zzbar]); tracking them within a sweep lets a shrinking
-    # cluster's penalty grow at the next colour class instead of waiting for
-    # the next closed-form update
+    # cluster and bicluster masses enter through the caches (h = n * E[zbar],
+    # n^2 * E[zzbar]); h is live, so a shrinking cluster's penalty grows at
+    # the next colour class, while zzbar_cache holds its sweep-start value
+    # (see fabbp_run)
     n = state.n
     b = state.node_belief.take(node, axis=0)
     t = state.h - b
@@ -403,12 +402,11 @@ def _update_class(state, cls, params, penalty):
     """New beliefs and out-messages for every node of one colour class.
 
     The class shares no edge, so all the messages it reads come from other
-    classes; h and zzbar_cache are read as they stood when the class
-    started and then take one rank update each (h only, in a plain update,
-    which reads no zzbar_cache).  `penalty` is the sweep's penalty mode
-    (see the module docstring); a plain update keeps the share
-    state.damping of each old message.  Returns the summed absolute message
-    change.
+    classes; h is read as it stood when the class started and then takes
+    the class's change, and zzbar_cache is read and left as it is (see
+    `fabbp_run`).  `penalty` is the sweep's penalty mode (see the module
+    docstring); a plain update keeps the share state.damping of each old
+    message.  Returns the summed absolute message change.
     """
     n, pi = state.n, params.pi
     plain = penalty == "none"
@@ -439,9 +437,6 @@ def _update_class(state, cls, params, penalty):
         new_msgs *= 1.0 - state.damping
         new_msgs += state.damping * old_msgs
     deltas = np.subtract(new_msgs, old_msgs, out=old_msgs)
-    if not plain:  # a plain sweep reads no zzbar_cache (see fabbp_run)
-        u = pi * (deltas.T @ in_msgs) / n**2
-        state.zzbar_cache += 0.5 * (u + u.T)
     state.messages[out] = new_msgs
     state.h += (new_belief - state.node_belief.take(cls.nodes, axis=0)).sum(axis=0)
     state.node_belief[cls.nodes] = new_belief
@@ -454,12 +449,13 @@ def fabbp_run(params, state, opts, rng, penalty):
     Each sweep visits the colour classes of state.layout.classes in an
     order drawn afresh from rng, updating all beliefs and outgoing messages
     of a class at once (nodes of a class share no edge, so the class update equals the
-    node-by-node one).  Penalized sweeps keep both moment caches live: one
-    rank update per class, and an exact recomputation at every sweep
-    boundary.  A plain sweep reads only h (through the external field), so
-    it keeps h live the same way and leaves zzbar_cache stale; the run
-    recomputes both caches exactly once it ends, so every run returns both
-    caches exact.  `penalty` is the penalty mode:
+    node-by-node one).  The moment caches follow one rule in every mode:
+    each class update adds its belief change to h, which the live prior,
+    the external field and the cluster-size penalty read, and writes no
+    other cache, so zzbar_cache keeps its sweep-start value within a sweep;
+    penalized runs recompute both caches exactly at every sweep boundary,
+    and every run recomputes both once it ends, so it returns both exact.
+    `penalty` is the penalty mode:
     "fab" and "fic" prune low-mass clusters after each class and never
     damp; "none" never prunes, and its first sweep whose mean message
     change is not below the previous sweep's sets state.damping to

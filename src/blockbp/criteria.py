@@ -173,10 +173,8 @@ def criterion_report(graph, state, params):
     belief weight as log(0); both read one edge contraction.
     """
     params = clamped(params)
-    z, s = state.edge_contraction(params)
+    z, edge_sum = state.edge_contraction(params)
     b = state.node_belief
-    # self-loop rows hold the diagonal belief diag(b_i)
-    edge_sum = s + np.diag(b[state.layout.self_loops[:, 0]].sum(axis=0))
     expected_ll = expected_joint_log_likelihood(graph, b, params, edge_sum)
     entropy = _bethe_entropy(graph, state, params.pi, z)
     n, k = graph.n, state.k_active

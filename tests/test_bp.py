@@ -485,6 +485,30 @@ class TestFabbpRun:
         assert np.array_equal(state.h, h)
         assert np.array_equal(state.zzbar_cache, zzbar)
 
+    @pytest.mark.parametrize("penalty", ["none", "fab", "fic"])
+    def test_class_update_writes_h_and_no_zzbar_cache(self, penalty):
+        # within a sweep zzbar_cache keeps its sweep-start value in every
+        # mode; only h takes each class's belief change
+        g, _ = generate_sbm(150, [0.5, 0.5], np.array([[0.1, 0.03], [0.03, 0.1]]), seed=5)
+        params = Params(np.array([0.5, 0.5]), np.array([[0.1, 0.03], [0.03, 0.1]]))
+        state = fresh_state(g, 2, seed=6)
+        state.refresh_moments(params)
+        h, zzbar = state.h.copy(), state.zzbar_cache.copy()
+        for cls in state.layout.classes:
+            bp._update_class(state, cls, params, penalty)
+            assert np.array_equal(state.zzbar_cache, zzbar)
+        assert not np.array_equal(state.h, h)
+        np.testing.assert_allclose(state.h, state.node_belief.sum(axis=0), rtol=1e-12)
+
+    def test_edge_contraction_sums_every_edge_row(self):
+        # self-loop rows (3, 3), (6, 6) and (9, 9) hold diag(b_i), as in edge_beliefs
+        g = isolated_selfloop_graph()
+        pi = np.array([[0.6, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.7]])
+        params = Params(np.full(3, 1 / 3), pi)
+        state = fresh_state(g, 3, seed=4)
+        _, s = state.edge_contraction(params)
+        np.testing.assert_allclose(s, state.edge_beliefs(params).sum(axis=0), rtol=1e-12)
+
     def test_rejects_unknown_penalty_mode(self):
         g = path_graph(4)
         params = Params(np.array([0.5, 0.5]), np.full((2, 2), 0.3))
@@ -614,10 +638,18 @@ class TestFitDrivers:
         assert fit.stop == "tol"
         assert sum(entry["sweeps"] for entry in fit.trace) <= 30
 
+    def test_dense_structureless_graph_settles_at_one_cluster(self):
+        # Erdős–Rényi n=42, p=0.4: no structure, so the bound prefers K=1,
+        # and the messages settle there well inside the sweep budget
+        g, _ = generate_sbm(42, [1.0], [[0.4]], 504548)
+        fit = f2ab_fit(g, 20, 504548)
+        assert fit.selected_k == 1
+        assert fit.stop == "tol"
+        assert sum(entry["sweeps"] for entry in fit.trace) <= BPOptions().max_sweeps
+
     @pytest.mark.parametrize(
         "fit_method, n, p, k, seed",
         [
-            pytest.param(f2ab_fit, 42, 0.4, 20, 504548, id="42-504548"),
             pytest.param(f2ab_fit, 51, 0.4, 20, 509447, id="51-509447"),
             pytest.param(fixed_k_fit, 60, 0.1, 3, 3, id="fixed-k-60-3"),
         ],
