@@ -154,9 +154,10 @@ def _cmd_sweep(args):
     graph = parse_edge_list(_read(args.input))
     k_range = args.sweep
     rows = evaluate.sweep_criteria(graph, k_range, args.seed, opts=_options(args))
-    best_k, _, _ = evaluate.best_row(rows, args.method)
+    best_k, _ = evaluate.best_row(rows, args.method)
     lines = ["k,ffic_lb,fic,icl,cicl,entropy,selected"]
-    for k, report, _fit in rows:
+    for k, fit in rows:
+        report = fit.criteria
         mark = "*" if k == best_k else ""
         lines.append(
             f"{k},{report.ffic_lb:.6f},{report.fic:.6f},{report.icl:.6f},"

@@ -80,21 +80,18 @@ CRITERION_FIELDS = {"icl": "icl", "cicl": "cicl", "ffic": "ffic_lb", "fic": "fic
 def sweep_criteria(graph, k_range, seed, opts=None):
     """Fixed-K fits over an inclusive K range, with all criterion values.
 
-    Returns a list of (k, CriterionReport, FitResult) in K order.  Each K
-    runs an independent plain-BP fit seeded from the same root seed.
+    Returns a list of (k, FitResult) in K order; each fit's criterion values
+    are its `criteria`.  Each K runs an independent plain-BP fit seeded from
+    the same root seed.
     """
-    rows = []
-    for k in k_range:
-        fit = bp.fixed_k_fit(graph, k, seed, opts=opts)
-        rows.append((k, fit.criteria, fit))
-    return rows
+    return [(k, bp.fixed_k_fit(graph, k, seed, opts=opts)) for k in k_range]
 
 
 def best_row(rows, method):
-    """The row of `sweep_criteria` whose report maximizes the method's
+    """The row of `sweep_criteria` whose fit's report maximizes the method's
     criterion (see CRITERION_FIELDS); the first one among ties."""
     field = CRITERION_FIELDS[method]
-    return max(rows, key=lambda row: getattr(row[1], field))
+    return max(rows, key=lambda row: getattr(row[1].criteria, field))
 
 
 def fit_with_method(graph, method, k_max, seed, opts=None, sweep_range=None):
@@ -113,7 +110,7 @@ def fit_with_method(graph, method, k_max, seed, opts=None, sweep_range=None):
         k_range = sweep_range if sweep_range is not None else range(1, k_max + 1)
         if not k_range:
             raise ValueError(f"cluster count must be >= 1, got {k_range.stop - 1}")
-        _, _, best = best_row(sweep_criteria(graph, k_range, seed, opts=opts), method)
+        _, best = best_row(sweep_criteria(graph, k_range, seed, opts=opts), method)
         best.method = method
         return best
     raise ValueError(f"unknown method: {method}")

@@ -18,8 +18,10 @@ c that edge is 2 sqrt(c) / (c + tau), which is 1/sqrt(tau) at c = tau.  Over
 the actual degrees it reads about 4% lower: 0.38-0.40 on planted four-block
 graphs at n = 400, against the smallest planted Ritz value seen there, 0.403,
 and the top of the bulk, near 0.37.  The columns below the edge are noise to
-k-means (Krzakala et al., PNAS 2013; Le, Levina & Vershynin, 2017).  When
-fewer than two columns clear the edge, all columns are clustered.  The
+k-means (Krzakala et al., PNAS 2013; Le, Levina & Vershynin, 2017), but the
+Perron column (the largest Ritz value) is always kept.  So a structureless
+graph gives a one-column embedding, and every fit starts with one occupied
+cluster (nodes off the giant component may start in a few more).  The
 row-normalized embedding goes to k-means with k-means++ seeding, best of
 KMEANS_RESTARTS restarts; a Lloyd step is one GEMM for the distances
 ||c||^2 - 2 x c^T and one bincount per column for the centroid sums.  Only
@@ -169,11 +171,11 @@ def kmeans(x, k, rng):
 def spectral_init(graph, k, seed):
     """Spectral hard assignment: an (n,) array of labels in [0, k), or None.
 
-    k-means clusters the rows of the Ritz vectors above the bulk edge (all
-    of them when fewer than two clear it; see the module docstring).  There
-    is no usable partition, and None is returned, when k > 1 and the graph
-    has no edges or the eigen-iteration stops at or above EIG_TOL; the
-    caller picks its own start then.
+    k-means clusters the rows of the Perron Ritz vector and of those above
+    the bulk edge (see the module docstring).  There is no usable partition,
+    and None is returned, when k > 1 and the graph has no edges or the
+    eigen-iteration stops at or above EIG_TOL; the caller picks its own
+    start then.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -187,9 +189,9 @@ def spectral_init(graph, k, seed):
     q, residual, theta = orthogonal_iteration(op, n, min(k, n), rng)
     if residual >= EIG_TOL:
         return None
-    above = theta > bulk_edge
-    if above.sum() >= 2:
-        q = q[:, above]
+    keep = theta > bulk_edge
+    keep[-1] = True  # the Perron column, which a perfect matching leaves under the edge
+    q = q[:, keep]
     embedding = q / np.clip(np.linalg.norm(q, axis=1, keepdims=True), 1e-12, None)
     labels, _ = kmeans(embedding, k, rng)
     return labels

@@ -140,9 +140,9 @@ class TestProtocol:
     def test_sweep_criteria_rows(self):
         g, _ = generate_sbm(50, [0.5, 0.5], np.full((2, 2), 0.15), seed=5)
         rows = sweep_criteria(g, range(1, 4), seed=0)
-        assert [k for k, _, _ in rows] == [1, 2, 3]
-        for _, report, fit in rows:
-            assert math.isfinite(report.ffic_lb)
+        assert [k for k, _ in rows] == [1, 2, 3]
+        for _, fit in rows:
+            assert math.isfinite(fit.criteria.ffic_lb)
 
     def test_sweep_builds_layout_and_operator_once(self, monkeypatch):
         calls = {"_greedy_colouring": 0, "_normalized_adjacency": 0}
@@ -166,7 +166,7 @@ class TestProtocol:
         # K=2..4 find the graph's layout and operator built by the K before;
         # each gives the fit a fresh Graph with the same edges gives
         g, _ = generate_sbm(400, *planted_four_params(400), 2)
-        for k, _, fit in sweep_criteria(g, range(1, 5), 2):
+        for k, fit in sweep_criteria(g, range(1, 5), 2):
             fresh = fixed_k_fit(Graph(g.n, g.edges), k, 2)
             assert fit_result_to_json(fit) == fit_result_to_json(fresh), k
 
@@ -179,7 +179,7 @@ class TestProtocol:
         for seed in range(6):
             g, _ = generate_sbm(400, *planted_four_params(400), seed)
             rows = sweep_criteria(g, range(1, 5), seed)
-            total += sum(entry["sweeps"] for _, _, fit in rows for entry in fit.trace)
+            total += sum(entry["sweeps"] for _, fit in rows for entry in fit.trace)
             assert best_row(rows, "cicl")[0] == 4, seed
         assert total <= 360
 

@@ -226,8 +226,8 @@ class TestSpectralInit:
 
 
 class TestBulkEdgeColumns:
-    """k-means clusters the Ritz vectors above the bulk edge 2 sqrt(tr(op^2) / n),
-    or all of them when fewer than two clear it."""
+    """k-means clusters the Perron Ritz vector (the largest Ritz value) and the
+    Ritz vectors above the bulk edge 2 sqrt(tr(op^2) / n)."""
 
     @staticmethod
     def bulk_edge(g):
@@ -282,16 +282,32 @@ class TestBulkEdgeColumns:
         assert (eig_runs[1][2] > self.bulk_edge(g)).sum() == 4
         assert kmeans_inputs[1].shape == (n, 4)
 
-    def test_structureless_graph_keeps_every_column(self, eig_runs, kmeans_inputs):
-        # Erdos-Renyi: only the top Ritz value (the degree direction) clears
+    def test_structureless_graph_clusters_the_perron_column(self, eig_runs, kmeans_inputs):
+        # Erdos-Renyi: only the top Ritz value (the degree direction) clears,
+        # and the seven columns inside the bulk are noise to k-means
         n = 600
         g, _ = generate_sbm(n, [1.0], np.array([[6.0 / n]]), seed=3)
-        spectral_init(g, 8, 0)
+        labels = spectral_init(g, 8, 0)
         (q, _, theta), = eig_runs
         (x,) = kmeans_inputs
         assert (theta > self.bulk_edge(g)).sum() == 1
-        assert x.shape == (n, 8)
-        assert np.array_equal(x, row_normalized(q))
+        assert x.shape == (n, 1)
+        assert np.array_equal(x, row_normalized(q[:, [-1]]))
+        assert labels is not None
+
+    def test_perfect_matching_keeps_the_perron_column(self, eig_runs, kmeans_inputs):
+        # 20 disjoint edges: every Ritz value is 1 / (1 + tau) = 0.5, which
+        # sits under the edge 1.0, so only the Perron column reaches k-means
+        n = 40
+        g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+        labels = spectral_init(g, 4, 0)
+        (q, _, theta), = eig_runs
+        (x,) = kmeans_inputs
+        assert self.bulk_edge(g) == pytest.approx(1.0)
+        assert not (theta > self.bulk_edge(g)).any()
+        assert x.shape == (n, 1)
+        assert np.array_equal(x, row_normalized(q[:, [-1]]))
+        assert labels is not None and labels.shape == (n,)
 
 
 class TestOrthogonalIteration:
