@@ -669,6 +669,21 @@ class TestFitDrivers:
         assert fit.stop == "tol"
         assert evaluate.fit_with_method(g, "cicl", 4, seed).selected_k == 1
 
+    @pytest.mark.parametrize(
+        "fit_method, n, p, k, seed",
+        [
+            pytest.param(f2ab_fit, 51, 0.4, 20, 509447, id="51-509447"),
+            pytest.param(fixed_k_fit, 60, 0.1, 3, 3, id="fixed-k-60-3"),
+        ],
+    )
+    def test_structureless_graph_ends_on_the_sweep_budget(self, fit_method, n, p, k, seed):
+        # the same Erdős–Rényi graphs settle on tol after 4 and 42 sweeps;
+        # a budget of three stops both first and names the budget
+        g, _ = generate_sbm(n, [1.0], [[p]], seed)
+        fit = fit_method(g, k, seed, BPOptions(max_sweeps=3))
+        assert fit.stop == "budget"
+        assert sum(entry["sweeps"] for entry in fit.trace) == 3
+
     @pytest.mark.parametrize("fit_method, k", [(f2ab_fit, 20), (fixed_k_fit, 6)])
     def test_fit_ends_on_the_sweep_budget(self, fit_method, k):
         # three sweeps are too few for the planted graph's messages to settle
