@@ -38,9 +38,7 @@ Every fit starts from the spectral partition: `_soft_init` turns it into
 node beliefs and the first params, and `BeliefState(graph, beliefs, params)`
 sets every message i->j to b_i.  Penalized fits mix the partition with the
 uniform distribution (confidence START_CONFIDENCE) so that redundant
-clusters can still merge; plain fits never prune and take it one-hot.  When
-spectral init has no partition, the labels are drawn at random and the fit
-records and warns about it.
+clusters can still merge; plain fits never prune and take it one-hot.
 
 A fit alternates sweep runs with closed-form M-steps and spends at most
 BPOptions.max_sweeps sweeps in all: each run gets the sweeps its
@@ -54,7 +52,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -333,15 +330,14 @@ class BeliefState:
     # -- pruning ---------------------------------------------------------------
 
     def prune_clusters(self, params):
-        """Drop clusters whose cached proportion fell below the threshold.
+        """Drop clusters whose cached proportion fell below the threshold;
+        the sweep calls it once some cluster has.
 
-        The largest cluster is always preserved.  Returns the possibly-sliced
-        (gamma, pi) working parameters.
+        The largest cluster is always preserved (h sums to n, so only a state
+        with more than 10 n clusters can leave every one below PRUNE_SCALE).
+        Returns the sliced (gamma, pi) working parameters.
         """
-        threshold = PRUNE_SCALE  # on h = n * zbar
-        keep = np.flatnonzero(self.h >= threshold)
-        if keep.size == self.k_active:
-            return params
+        keep = np.flatnonzero(self.h >= PRUNE_SCALE)  # on h = n * zbar
         top = int(np.argmax(self.h))
         if top not in keep:
             keep = np.sort(np.append(keep, top))
@@ -484,7 +480,7 @@ def fabbp_run(params, state, opts, rng, penalty):
         classes = state.layout.classes
         for c in rng.permutation(len(classes)):
             total_delta += _update_class(state, classes[c], sweep_params, penalty)
-            if not plain and state.k_active > 1 and state.h.min() < PRUNE_SCALE:
+            if not plain and state.h.min() < PRUNE_SCALE:
                 params = state.prune_clusters(params)
                 sweep_params = clamped(params)
 
@@ -580,10 +576,8 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
     every message.  Penalized fits soften the partition (START_CONFIDENCE) so
     that redundant clusters can still merge; plain fits keep K fixed and
     take it one-hot (confidence 1.0), which spares them the sweeps a random
-    start spends finding the partition.  When `spectral_init` returns None,
-    the labels are drawn at random from the second of the three seeds the
-    fit seed spawns; the fallback goes into `FitResult.warnings` and is
-    warned once.
+    start spends finding the partition.  Input adjustments (no edges, K
+    above n) go into `FitResult.warnings`.
     """
     from .spectral import spectral_init
 
@@ -598,13 +592,9 @@ def _fit_driver(graph, k_init, seed, opts, method, penalty):
         fit_warnings.append(f"cluster count {k_init} exceeds n={graph.n}; clamped to {graph.n}")
         k_init = graph.n
 
-    seed_spectral, seed_start, seed_sweep = np.random.SeedSequence(seed).spawn(3)
+    # three children, the second unused, so the sweep order keeps its seed
+    seed_spectral, _, seed_sweep = np.random.SeedSequence(seed).spawn(3)
     labels0 = spectral_init(graph, k_init, seed_spectral.generate_state(1)[0])
-    if labels0 is None:
-        message = "spectral eigen-iteration did not converge; random init"
-        fit_warnings.append(message)
-        warnings.warn(message, stacklevel=3)
-        labels0 = np.random.default_rng(seed_start).integers(0, k_init, size=graph.n)
     confidence = 1.0 if penalty == "none" else START_CONFIDENCE
     params, beliefs = _soft_init(graph, labels0, k_init, confidence)
     state = BeliefState(graph, beliefs, params)

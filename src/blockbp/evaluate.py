@@ -119,9 +119,6 @@ def fit_with_method(graph, method, k_max, seed, opts=None, sweep_range=None):
 # -- synthetic protocol -----------------------------------------------------------
 
 
-PROTOCOL_HEADER = "method,n,seed,selected_k,ari,seconds"
-
-
 def planted_four_params(n):
     """The four-cluster sparse test bed: within 20/n, across 1/n, even sizes."""
     gamma = np.full(4, 0.25)
@@ -153,13 +150,6 @@ def run_synthetic_protocol(n_list, seeds, k_max, methods=("f2ab",), opts=None, s
                 ari = adjusted_rand_index(fit.map_assignment, planted.labels)
                 rows.append((method, n, seed, fit.selected_k, ari, seconds))
     return rows
-
-
-def protocol_table(rows):
-    lines = [PROTOCOL_HEADER]
-    for method, n, seed, k, ari, seconds in rows:
-        lines.append(f"{method},{n},{seed},{k},{ari:.6f},{seconds:.3f}")
-    return "\n".join(lines) + "\n"
 
 
 def masked_prediction_run(n, seed, k_max):

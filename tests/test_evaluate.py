@@ -7,10 +7,8 @@ from blockbp import Graph, Params, adjusted_rand_index, bp, generate_sbm, mask_p
 from blockbp.bp import FitResult, fit_result_to_json, fixed_k_fit
 from blockbp.criteria import CriterionReport
 from blockbp.evaluate import (
-    PROTOCOL_HEADER,
     best_row,
     planted_four_params,
-    protocol_table,
     run_synthetic_protocol,
     sweep_criteria,
 )
@@ -129,13 +127,10 @@ class TestProtocol:
         rows1 = run_synthetic_protocol([60], [0], k_max=3, methods=("f2ab",))
         rows2 = run_synthetic_protocol([60], [0], k_max=3, methods=("f2ab",))
         assert [r[:5] for r in rows1] == [r[:5] for r in rows2]  # timings differ
-        text = protocol_table(rows1)
-        lines = text.strip().split("\n")
-        assert lines[0] == PROTOCOL_HEADER == "method,n,seed,selected_k,ari,seconds"
-        assert len(lines) == 2
-        method, n, seed, k, ari, seconds = lines[1].split(",")
-        assert method == "f2ab" and int(n) == 60 and int(seed) == 0
-        int(k), float(ari), float(seconds)
+        assert len(rows1) == 1
+        method, n, seed, k, ari, seconds = rows1[0]
+        assert method == "f2ab" and n == 60 and seed == 0
+        assert isinstance(k, int) and math.isfinite(ari) and seconds >= 0
 
     def test_sweep_criteria_rows(self):
         g, _ = generate_sbm(50, [0.5, 0.5], np.full((2, 2), 0.15), seed=5)

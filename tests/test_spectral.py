@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from blockbp import Graph, adjusted_rand_index, evaluate, f2ab_fit, generate_sbm, parse_edge_list, spectral_init
-from blockbp import bp, spectral
-from blockbp.bp import _soft_init
+from blockbp import spectral
 from blockbp.model import hard_moments, m_step
 from blockbp.spectral import EIG_TOL, _bulk_edge, _normalized_adjacency, kmeans, orthogonal_iteration
 from oracles import dense_top_subspace, kmeans_reference
@@ -166,36 +165,25 @@ class TestSpectralInit:
         with pytest.raises(ValueError):
             spectral_init(two_cliques(), 0, 0)
 
-    def test_random_fallback_when_iteration_stops_above_tol(self, monkeypatch):
+    def test_graph_without_edges_gets_label_zero(self):
+        labels = spectral_init(Graph(6, []), 3, 0)
+        assert labels.dtype == np.int64 and labels.tolist() == [0] * 6
+
+    def test_iteration_at_its_cap_still_gives_the_partition(self, monkeypatch):
         # no residual falls below a zero tolerance, so the iteration runs to
-        # its cap and spectral_init has no partition; the fit draws its start
-        # labels at random, records the fallback and warns once
+        # its cap; k-means clusters the Ritz vectors it stopped with, and the
+        # fit starts from them without a warning
+        g, _ = generate_sbm(200, [0.5, 0.5], [[0.1, 0.01], [0.01, 0.1]], seed=7)
+        converged = spectral_init(g, 3, 4)
         monkeypatch.setattr(spectral, "EIG_TOL", 0.0)
-        g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.1), seed=7)
-        assert spectral_init(g, 3, 4) is None
-        starts = []
-
-        def recorded(graph, labels, k, confidence):
-            starts.append(labels)
-            return _soft_init(graph, labels, k, confidence)
-
-        monkeypatch.setattr(bp, "_soft_init", recorded)
-        message = "spectral eigen-iteration did not converge; random init"
-        for _ in range(2):
-            with pytest.warns(UserWarning) as caught:
-                fit = f2ab_fit(g, 3, 4)
-            assert [str(w.message) for w in caught] == [message]
-            assert fit.warnings == [message]
-        labels, again = starts
+        labels = spectral_init(g, 3, 4)
         assert labels.shape == (g.n,) and labels.min() >= 0 and labels.max() < 3
-        assert np.array_equal(labels, again)
-
-    def test_random_fallback_recorded_in_fit_warnings(self, monkeypatch):
-        monkeypatch.setattr(spectral, "EIG_TOL", 0.0)
-        g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.1), seed=7)
-        with pytest.warns(UserWarning, match="did not converge"):
-            fit = f2ab_fit(g, 3, 0)
-        assert any("did not converge" in w for w in fit.warnings)
+        assert adjusted_rand_index(labels, converged) == pytest.approx(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = f2ab_fit(g, 6, 0)
+        assert fit.warnings == []
+        assert fit.selected_k == 2
 
     def test_planted_four_recovered_at_n_50000(self, eig_runs):
         n = 50000
@@ -208,21 +196,19 @@ class TestSpectralInit:
 
     @pytest.mark.parametrize("name", list(DEGENERATE_GRAPHS))
     def test_degenerate_spectrum(self, name, eig_runs):
-        # finite orthonormal q and residual; the subspace is used when the
-        # residual is below EIG_TOL, and otherwise there is no partition
+        # finite orthonormal q, a residual below EIG_TOL and a partition
+        # with finite parameters on every graph
         g, k = DEGENERATE_GRAPHS[name]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             labels = spectral_init(g, k, 0)
         (q, residual, _), = eig_runs
-        assert np.all(np.isfinite(q)) and np.isfinite(residual)
+        assert np.all(np.isfinite(q)) and residual < EIG_TOL
         assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) < 1e-12
         assert not caught
-        assert (labels is None) == (residual >= EIG_TOL)
-        if labels is not None:
-            params, _ = m_step(hard_moments(g, labels, k))
-            assert labels.shape == (g.n,) and labels.min() >= 0 and labels.max() < k
-            assert np.all(np.isfinite(params.pi)) and np.all(np.isfinite(params.gamma))
+        params, _ = m_step(hard_moments(g, labels, k))
+        assert labels.shape == (g.n,) and labels.min() >= 0 and labels.max() < k
+        assert np.all(np.isfinite(params.pi)) and np.all(np.isfinite(params.gamma))
 
 
 class TestBulkEdgeColumns:
