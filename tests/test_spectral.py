@@ -171,14 +171,19 @@ class TestSpectralInit:
 
     def test_iteration_at_its_cap_still_gives_the_partition(self, monkeypatch):
         # no residual falls below a zero tolerance, so the iteration runs to
-        # its cap; k-means clusters the Ritz vectors it stopped with, and the
-        # fit starts from them without a warning
+        # its cap; k-means clusters the Ritz vectors it stopped with
         g, _ = generate_sbm(200, [0.5, 0.5], [[0.1, 0.01], [0.01, 0.1]], seed=7)
         converged = spectral_init(g, 3, 4)
         monkeypatch.setattr(spectral, "EIG_TOL", 0.0)
         labels = spectral_init(g, 3, 4)
         assert labels.shape == (g.n,) and labels.min() >= 0 and labels.max() < 3
         assert adjusted_rand_index(labels, converged) == pytest.approx(1.0)
+
+    def test_fit_from_a_capped_iteration_records_no_warning(self, monkeypatch):
+        # the fit starts from the capped iteration's partition without a
+        # warning, and FitResult.warnings stays empty
+        g, _ = generate_sbm(200, [0.5, 0.5], [[0.1, 0.01], [0.01, 0.1]], seed=7)
+        monkeypatch.setattr(spectral, "EIG_TOL", 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = f2ab_fit(g, 6, 0)
