@@ -96,8 +96,9 @@ class BPOptions:
     mode: the penalized modes ("fab", "fic") read the live proportions as
     their prior, are undamped and prune; the plain mode ("none") reads
     gamma, never prunes, and is damped by PLAIN_DAMPING from its first sweep
-    that does not shrink the mean message change to the end of the fit.  Out-of-range values, and caps that are
-    not integers, raise ValueError naming the field.
+    that does not shrink the mean message change to the end of the fit.
+    Out-of-range values, and caps that are not integers, raise ValueError
+    naming the field.
     """
 
     tol_msg: float = 1e-2
@@ -444,24 +445,22 @@ def fabbp_run(params, state, opts, rng, penalty):
 
     Each sweep visits the colour classes of state.layout.classes in an
     order drawn afresh from rng, updating all beliefs and outgoing messages
-    of a class at once (nodes of a class share no edge, so the class update equals the
-    node-by-node one).  The moment caches follow one rule in every mode:
-    each class update adds its belief change to h, which the live prior,
-    the external field and the cluster-size penalty read, and writes no
-    other cache, so zzbar_cache keeps its sweep-start value within a sweep;
-    penalized runs recompute both caches exactly at every sweep boundary,
-    and every run recomputes both once it ends, so it returns both exact.
-    `penalty` is the penalty mode:
-    "fab" and "fic" prune low-mass clusters after each class and never
-    damp; "none" never prunes, and its first sweep whose mean message
-    change is not below the previous sweep's sets state.damping to
-    PLAIN_DAMPING, which stays set for the state's later runs (see the
-    module docstring).  The sweep reads the affinities
-    clamped into [EPS_P, 1 - EPS_P]; the returned params are the given
-    ones, sliced to the surviving clusters.  The run stops by one rule in
-    every mode, and info["stop"] names the reason: "tol" once the summed
-    absolute message change per sweep, normalized by the edge count, is at
-    most opts.tol_msg; "cap" after opts.max_sweeps sweeps.
+    of a class at once (nodes of a class share no edge, so the class update
+    equals the node-by-node one).  The moment caches follow one rule in
+    every mode: each class update adds its belief change to h, which the
+    live prior, the external field and the cluster-size penalty read, and
+    writes no other cache, so zzbar_cache keeps its sweep-start value within
+    a sweep; every sweep boundary recomputes both caches exactly, so every
+    run returns both exact.  `penalty` is the penalty mode: "fab" and "fic"
+    prune low-mass clusters after each class and never damp; "none" never
+    prunes, and its first sweep whose mean message change is not below the
+    previous sweep's sets state.damping to PLAIN_DAMPING, which stays set
+    for the state's later runs (see the module docstring).  The sweep reads
+    the affinities clamped into [EPS_P, 1 - EPS_P]; the returned params are
+    the given ones, sliced to the surviving clusters.  The run stops by one
+    rule in every mode, and info["stop"] names the reason: "tol" once the
+    summed absolute message change per sweep, normalized by the edge count,
+    is at most opts.tol_msg; "cap" after opts.max_sweeps sweeps.
     Returns (state, params, info), info holding "sweeps", "mean_delta",
     "stop" and "damped" (whether the run ended damped).
     """
@@ -484,10 +483,7 @@ def fabbp_run(params, state, opts, rng, penalty):
                 params = state.prune_clusters(params)
                 sweep_params = clamped(params)
 
-        if plain:
-            state.h = state.node_belief.sum(axis=0)
-        else:
-            state.refresh_moments(sweep_params)
+        state.refresh_moments(sweep_params)
         last_delta, mean_delta = mean_delta, total_delta / m_edges
         if plain and mean_delta >= last_delta:
             state.damping = PLAIN_DAMPING  # for the rest of the fit
@@ -495,8 +491,6 @@ def fabbp_run(params, state, opts, rng, penalty):
             stop = "tol"
             break
 
-    if plain:
-        state.refresh_moments(sweep_params)
     damped = plain and state.damping > 0.0
     info = {"sweeps": sweeps, "mean_delta": mean_delta, "stop": stop, "damped": damped}
     return state, params, info
@@ -698,12 +692,18 @@ def fit_result_from_json(text):
     flag instead; a converged fit loads with stop "tol", any other with
     None.  A field of the wrong type or shape for the file's selected_k and
     n, a MAP label outside 0..selected_k - 1, node ids that are not n
-    strings, or criteria with missing or unknown keys raise ValueError
-    naming the field.
+    strings, criteria with missing or unknown keys, or a missing field that
+    every file holds raise ValueError naming the field.
     """
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("fit.json must hold a JSON object")
+    # every file holds these; stop, rng_algorithm, warnings and node_ids
+    # came later and load with defaults when absent
+    for name in ("selected_k", "n", "seed", "method", "gamma", "pi",
+                 "node_marginals", "map_assignment", "trace", "criteria"):
+        if name not in obj:
+            raise ValueError(f"fit.json: {name} missing")
     for name in ("selected_k", "n", "seed"):
         if not isinstance(obj[name], int):
             raise ValueError(f"fit.json: {name} must be an integer, got {obj[name]!r}")

@@ -26,11 +26,30 @@ class EdgeListParseError(ValueError):
         super().__init__(message)
 
 
+def _index_pairs(pairs, what):
+    """Node pairs as a (P, 2) int64 array.
+
+    A pair holding a value that is not a whole number raises ValueError
+    naming the first such pair (`what` says what it is), instead of being
+    truncated; whole-number values of any numeric dtype pass.
+    """
+    raw = np.asarray(pairs).reshape(-1, 2)
+    if raw.dtype.kind in "iu":
+        return raw.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+        arr = raw.astype(np.int64)
+    bad = (arr != raw).any(axis=1)
+    if bad.any():
+        a, b = raw[np.argmax(bad)].tolist()
+        raise ValueError(f"{what} ({a}, {b}) holds a value that is not a whole number")
+    return arr
+
+
 def _canonical_pairs(pairs):
     """Deduplicated (i, j) pairs with i <= j, sorted lexicographically."""
     if len(pairs) == 0:
         return np.empty((0, 2), dtype=np.int64)
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    arr = _index_pairs(pairs, "edge")
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     arr = np.stack([lo, hi], axis=1)
@@ -76,6 +95,8 @@ class Graph:
     __slots__ = ("n", "edges", "masked", "masked_index", "node_ids", "_derived")
 
     def __init__(self, n, edges, masked=None, node_ids=None):
+        if int(n) != n:
+            raise ValueError(f"node count {n!r} is not a whole number")
         n = int(n)
         if n <= 0:
             raise ValueError("graph needs at least one node")
@@ -83,7 +104,7 @@ class Graph:
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint out of range [0, n)")
         masked = dict(masked) if masked else {}
-        pairs = np.array(list(masked), dtype=np.int64).reshape(-1, 2)
+        pairs = _index_pairs(list(masked), "masked pair")
         i, j = pairs[:, 0], pairs[:, 1]
         bad = (i < 0) | (i > j) | (j >= n)
         if bad.any():

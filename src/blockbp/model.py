@@ -130,7 +130,7 @@ def pair_mass(pairs, beliefs, n):
     """
     b = np.asarray(beliefs, dtype=np.float64)
     if not pairs.shape[0]:
-        # an unmasked graph (or one without self-loops): skip the gathers
+        # an unmasked graph: skip the gathers
         return np.zeros((b.shape[1], b.shape[1]))
     self_pair = pairs[:, 0] == pairs[:, 1]
     off = pairs[~self_pair]

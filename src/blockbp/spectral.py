@@ -51,8 +51,7 @@ def _normalized_adjacency(graph, tau):
     rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
     cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
     vals = np.ones(rows.shape[0])
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    a.sum_duplicates()
+    a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()  # sums duplicates
     a.data = np.minimum(a.data, 1.0)  # a self-loop stacks twice onto one cell
     root = np.sqrt(np.asarray(a.sum(axis=1)).ravel() + tau)
     # an isolated node's row and column are empty, so its scale never enters

@@ -452,9 +452,11 @@ class TestFabbpRun:
         assert fit.selected_k in (2, 3)
         assert adjusted_rand_index(fit.map_assignment, planted.labels) >= 0.9
 
-    def test_incremental_zbar_drift_bounded(self, monkeypatch):
-        # at each sweep boundary the incremental h may differ from the exact
-        # summed beliefs only by rounding, relative to n
+    @pytest.mark.parametrize("penalty", ["none", "fab", "fic"])
+    def test_incremental_zbar_drift_bounded(self, monkeypatch, penalty):
+        # every mode refreshes both caches once per sweep, at its boundary,
+        # where the incremental h may differ from the exact summed beliefs
+        # only by rounding, relative to n
         g, _ = generate_sbm(150, [0.5, 0.5], np.full((2, 2), 0.08), seed=5)
         params = Params(np.array([0.5, 0.5]), np.full((2, 2), 0.08))
         state = fresh_state(g, 2, seed=6)
@@ -467,13 +469,15 @@ class TestFabbpRun:
 
         monkeypatch.setattr(BeliefState, "refresh_moments", recording)
         opts = BPOptions(tol_msg=0.0, max_sweeps=10)
-        state, _, _ = fabbp_run(params, state, opts, np.random.default_rng(7), "fab")
-        assert len(drifts) == 10
+        state, _, info = fabbp_run(params, state, opts, np.random.default_rng(7), penalty)
+        assert len(drifts) == info["sweeps"]
+        if penalty == "fab":
+            assert len(drifts) == 10
         assert max(drifts) < 1e-6
 
     def test_plain_run_ends_with_exact_moment_caches(self):
-        # plain sweeps leave zzbar_cache stale; the run's end makes both
-        # caches exactly what refresh_moments gives on the same state
+        # the last sweep boundary leaves both caches exactly what
+        # refresh_moments gives on the same state
         g, _ = generate_sbm(150, [0.5, 0.5], np.array([[0.1, 0.03], [0.03, 0.1]]), seed=5)
         params = Params(np.array([0.5, 0.5]), np.array([[0.1, 0.03], [0.03, 0.1]]))
         state = fresh_state(g, 2, seed=6)

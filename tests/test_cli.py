@@ -258,6 +258,11 @@ class TestEval:
                          id="criteria-empty"),
             pytest.param("criteria", lambda v: None, "criteria: .*must be a mapping",
                          id="criteria-null"),
+            # edit None deletes the field
+            pytest.param("trace", None, "trace missing", id="trace-deleted"),
+            pytest.param("method", None, "method missing", id="method-deleted"),
+            pytest.param("selected_k", None, "selected_k missing", id="selected-k-deleted"),
+            pytest.param("gamma", None, "gamma missing", id="gamma-deleted"),
         ],
     )
     def test_malformed_fit_exits_one(self, generated, tmp_path, capsys, field, edit, message):
@@ -266,7 +271,10 @@ class TestEval:
         run(["fit", "--input", str(generated), "--k-max", "4", "--seed", "0",
              "--method", "f2ab", "--output", str(fit_path), "--mask-fraction", "0.05"])
         payload = json.loads(fit_path.read_text())
-        payload[field] = edit(payload[field])
+        if edit is None:
+            del payload[field]
+        else:
+            payload[field] = edit(payload[field])
         fit_path.write_text(json.dumps(payload))
         capsys.readouterr()
         argv = ["eval", "--fit", str(fit_path), "--masked", str(fit_path) + ".masked",

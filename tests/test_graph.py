@@ -221,6 +221,29 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize(
+        "n, edges, masked, message",
+        [
+            (3, [(0, 1.7), (1, 2)], None, r"edge \(0\.0, 1\.7\) holds a value that is not a whole"),
+            (3, [(0, 1), (1, float("nan"))], None, r"edge \(1\.0, nan\) holds a value"),
+            (3, [(0, 1)], {(0.5, 2.9): 1}, r"masked pair \(0\.5, 2\.9\) holds a value"),
+            (2.5, [(0, 1)], None, "node count 2.5 is not a whole number"),
+        ],
+        ids=["fractional-edge", "nan-edge", "fractional-masked-pair", "fractional-n"],
+    )
+    def test_non_integer_ids_rejected(self, n, edges, masked, message):
+        # a fractional id is an error, not truncated to its integer part
+        with pytest.raises(ValueError, match=message):
+            Graph(n, edges, masked=masked)
+
+    def test_whole_number_ids_of_any_dtype_load(self):
+        g = Graph(np.float64(3.0), np.array([[1.0, 0.0], [2.0, 1.0]]),
+                  masked={(np.int8(0), np.float32(2.0)): 1})
+        assert g.n == 3
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert g.edges.dtype == g.masked_index.dtype == np.int64
+        assert g.masked_index.tolist() == [[0, 2]]
+
     def test_degrees_count_adjacency(self):
         g = Graph(6, [(0, 1), (1, 2), (1, 1), (3, 3), (0, 2), (2, 4)])
         want = [sum(v in (i, j) for i, j in edge_set(g) if i != j) for v in range(g.n)]
