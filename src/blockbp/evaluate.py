@@ -27,31 +27,44 @@ def npll(fit, masked_observations):
     Each masked pair is scored with the factorized marginal predictor
     E[z_i]^T Pi E[z_j] (diagonal form for self-pairs), clamped away from 0
     and 1; the total is divided by n*(n+1)/2 regardless of how many pairs
-    were masked.  A pair naming a node outside the fit raises ValueError.
+    were masked.  A key that is not an (i, j) pair, an observed bit other
+    than 0 or 1, or a pair naming a node outside the fit raises ValueError.
     """
     if not masked_observations:
         raise ValueError("masked set is empty")
     b = fit.node_marginals
     pi = fit.params.pi
     n = fit.n
-    i, j = np.array(list(masked_observations), dtype=np.int64).reshape(-1, 2).T
+    for key in masked_observations:
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise ValueError(f"masked key {key!r} is not an (i, j) pair")
+    i, j = np.array(list(masked_observations), dtype=np.int64).T
     outside = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
     if outside.any():
         bad = int(np.argmax(outside))
         raise ValueError(f"masked pair ({i[bad]}, {j[bad]}) outside the fit's nodes 0..{n - 1}")
-    x = np.fromiter(masked_observations.values(), dtype=bool, count=len(masked_observations))
+    x = np.fromiter(masked_observations.values(), dtype=np.float64, count=len(masked_observations))
+    not_bit = (x != 0.0) & (x != 1.0)
+    if not_bit.any():
+        bad = int(np.argmax(not_bit))
+        raise ValueError(f"masked pair ({i[bad]}, {j[bad]}) has observed bit {x[bad]:g}, not 0 or 1")
     p = np.where(i == j, b[i] @ np.diagonal(pi), ((b[i] @ pi) * b[j]).sum(axis=1))
     p = np.clip(p, EPS_P, 1.0 - EPS_P)
-    total = np.where(x, np.log(p), np.log1p(-p)).sum()
+    total = np.where(x == 1.0, np.log(p), np.log1p(-p)).sum()
     return float(total / (n * (n + 1) / 2.0))
 
 
 def adjusted_rand_index(a, b):
-    """Chance-corrected partition agreement from the pair-counting table."""
+    """Chance-corrected partition agreement from the pair-counting table.
+
+    Labels index the table, so a negative label raises ValueError.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape:
         raise ValueError("assignments must have equal length")
+    if a.min() < 0 or b.min() < 0:
+        raise ValueError("labels must be non-negative")
     n = a.shape[0]
     ka, kb = int(a.max()) + 1, int(b.max()) + 1
     table = np.zeros((ka, kb), dtype=np.int64)

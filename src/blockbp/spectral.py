@@ -21,8 +21,9 @@ k-means (Krzakala et al., PNAS 2013; Le, Levina & Vershynin, 2017), but the
 Perron column (the largest Ritz value) is always kept.  So a structureless
 graph gives a one-column embedding, and every fit starts with one occupied
 cluster (nodes off the giant component may start in a few more).  The
-row-normalized embedding goes to k-means with k-means++ seeding, best of
-KMEANS_RESTARTS restarts; a Lloyd step is one GEMM for the distances
+row-normalized embedding goes to one k-means run from one k-means++
+seeding, which is O(log k)-competitive in expectation on its own (Arthur &
+Vassilvitskii, SODA 2007); a Lloyd step is one GEMM for the distances
 ||c||^2 - 2 x c^T and one bincount per column for the centroid sums.  Only
 the labels are returned: the fit builds its start beliefs and parameters
 from them.
@@ -42,7 +43,6 @@ import scipy.sparse as sp
 EIG_TOL = 1e-2  # largest column 2-norm of the Ritz residual at which the iteration stops
 CHEB_DEGREE = 8  # sparse products per filtered step
 EIG_MAX_ITERS = 125  # filtered steps; 1 + 125 * 8 = 1001 sparse products at most
-KMEANS_RESTARTS = 8
 KMEANS_ITERS = 100
 
 
@@ -139,31 +139,24 @@ def _kmeans_pp_centers(x, k, rng):
 
 
 def kmeans(x, k, rng):
-    """k-means with k-means++ seeding; best restart by within-cluster cost.
+    """One Lloyd run from one k-means++ seeding: (labels, within-cluster cost).
 
     Distances drop the row constant ||x||^2, which cannot move the argmin.
     Ties in assignment break toward the lowest-index centroid; empty clusters
     are allowed and simply keep their stale centroid.
     """
-    n = x.shape[0]
-    best_labels, best_cost = None, np.inf
-    for _ in range(KMEANS_RESTARTS):
-        centers = _kmeans_pp_centers(x, k, rng)
-        labels = np.zeros(n, dtype=np.int64)
-        for it in range(KMEANS_ITERS):
-            d2 = (centers**2).sum(axis=1) - 2.0 * (x @ centers.T)
-            new_labels = np.argmin(d2, axis=1)
-            if it > 0 and np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
-            counts = np.bincount(labels, minlength=k)[:, None]
-            sums = np.stack([np.bincount(labels, col, minlength=k) for col in x.T], axis=1)
-            np.divide(sums, counts, out=centers, where=counts > 0)
-        cost = float(((x - centers[labels]) ** 2).sum(axis=1).sum())
-        if cost < best_cost - 1e-12:
-            best_cost = cost
-            best_labels = labels.copy()
-    return best_labels, best_cost
+    centers = _kmeans_pp_centers(x, k, rng)
+    labels = np.zeros(x.shape[0], dtype=np.int64)
+    for it in range(KMEANS_ITERS):
+        d2 = (centers**2).sum(axis=1) - 2.0 * (x @ centers.T)
+        new_labels = np.argmin(d2, axis=1)
+        if it > 0 and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        counts = np.bincount(labels, minlength=k)[:, None]
+        sums = np.stack([np.bincount(labels, col, minlength=k) for col in x.T], axis=1)
+        np.divide(sums, counts, out=centers, where=counts > 0)
+    return labels, float(((x - centers[labels]) ** 2).sum(axis=1).sum())
 
 
 def spectral_init(graph, k, seed):

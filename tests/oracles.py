@@ -267,32 +267,24 @@ def dense_top_subspace(op, k):
 
 def kmeans_reference(x, k, rng):
     """`spectral.kmeans` with an (n, k, d) distance array per Lloyd step and
-    one centroid mean per cluster; same seeding, restarts and stop rule."""
-    from blockbp.spectral import KMEANS_ITERS, KMEANS_RESTARTS, _kmeans_pp_centers
+    one centroid mean per cluster; same seeding, single run and stop rule."""
+    from blockbp.spectral import KMEANS_ITERS, _kmeans_pp_centers
 
     n = x.shape[0]
-    if k == 1:
-        return np.zeros(n, dtype=np.int64), 0.0
-    best_labels, best_cost = None, np.inf
-    for _ in range(KMEANS_RESTARTS):
-        centers = _kmeans_pp_centers(x, k, rng)
-        labels = np.zeros(n, dtype=np.int64)
-        for it in range(KMEANS_ITERS):
-            d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = np.argmin(d2, axis=1)
-            if it > 0 and np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
-            for c in range(k):
-                member = labels == c
-                if member.any():
-                    centers[c] = x[member].mean(axis=0)
+    centers = _kmeans_pp_centers(x, k, rng)
+    labels = np.zeros(n, dtype=np.int64)
+    for it in range(KMEANS_ITERS):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        cost = float(d2[np.arange(n), labels].sum())
-        if cost < best_cost - 1e-12:
-            best_cost = cost
-            best_labels = labels.copy()
-    return best_labels, best_cost
+        new_labels = np.argmin(d2, axis=1)
+        if it > 0 and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            member = labels == c
+            if member.any():
+                centers[c] = x[member].mean(axis=0)
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return labels, float(d2[np.arange(n), labels].sum())
 
 
 def pair_from_index_scalar(r, n):

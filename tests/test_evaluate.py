@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,18 @@ class TestNpll:
         with pytest.raises(ValueError):
             npll(fit, {})
 
+    @pytest.mark.parametrize("bit", [2, -1, 0.5])
+    def test_rejects_a_bit_other_than_zero_or_one(self, bit):
+        fit = make_fit(3, np.ones((3, 1)), Params(np.array([1.0]), np.array([[0.5]])))
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            npll(fit, {(1, 2): 1, (0, 1): bit})
+
+    @pytest.mark.parametrize("key", [(0, 1, 2), (0,), 1])
+    def test_rejects_a_key_that_is_not_a_pair(self, key):
+        fit = make_fit(3, np.ones((3, 1)), Params(np.array([1.0]), np.array([[0.5]])))
+        with pytest.raises(ValueError, match=re.escape(f"key {key!r} is not")):
+            npll(fit, {(1, 2): 1, key: 1})
+
     def test_npll_nonpositive_and_relabel_invariant(self):
         g, _ = generate_sbm(60, [0.5, 0.5], np.full((2, 2), 0.2), seed=1)
         masked = mask_pairs(g, 0.02, seed=2)
@@ -112,6 +125,13 @@ class TestAdjustedRandIndex:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             adjusted_rand_index([0, 1], [0, 1, 2])
+
+    def test_rejects_negative_labels(self):
+        # a -1 would index the table's last row, scoring [1, 0, 0, 1]
+        with pytest.raises(ValueError):
+            adjusted_rand_index([-1, 0, 0, 1], [0, 0, 1, 1])
+        with pytest.raises(ValueError):
+            adjusted_rand_index([0, 0, 1, 1], [0, -1, 1, 1])
 
     def test_range(self):
         rng = np.random.default_rng(3)

@@ -152,6 +152,20 @@ class TestSpectralInit:
                 hits += 1
         assert hits > 5
 
+    def test_kmeans_is_seeded_once_per_call(self, monkeypatch):
+        # one k-means++ seeding and one Lloyd run per spectral_init call
+        calls = []
+        seed_centers = spectral._kmeans_pp_centers
+
+        def counted(x, k, rng):
+            calls.append(k)
+            return seed_centers(x, k, rng)
+
+        monkeypatch.setattr(spectral, "_kmeans_pp_centers", counted)
+        g, _ = generate_sbm(120, [0.5, 0.5], np.full((2, 2), 0.08), seed=2)
+        spectral_init(g, 3, 9)
+        assert calls == [3]
+
     def test_operator_is_built_once_per_graph_and_read_only(self):
         g, _ = generate_sbm(120, [0.5, 0.5], np.full((2, 2), 0.08), seed=2)
         spectral_init(g, 3, 9)
